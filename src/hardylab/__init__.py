@@ -11,7 +11,8 @@ from .families import (GeneratorHandle, builtin_generator, make_generator,
 from .weights import (RatioReport, WeightSeq, as_float, coarsen,
                       is_coarsening_of, make_sequence, random_rational_sequence,
                       ratio_diagnostics)
-from .search import OptimizerConfig, SearchResult, hardy_ratio, maximize_hardy_ratio
+from .search import (OptimizerConfig, SearchResult, hardy_ratio, maximize_hardy_ratio,
+                     prefix_means)
 from .hardy import (HardyEstimate, HypothesisViolation, InconclusiveError,
                     arithmetic_hardy, copson_constant, finite_lower_bound,
                     finite_lower_bound_sweep, geometric_probe, kedlaya_estimate,
@@ -33,6 +34,7 @@ __all__ = [
     "RatioReport", "WeightSeq", "as_float", "coarsen", "is_coarsening_of",
     "make_sequence", "random_rational_sequence", "ratio_diagnostics",
     "OptimizerConfig", "SearchResult", "hardy_ratio", "maximize_hardy_ratio",
+    "prefix_means",
     "HardyEstimate", "HypothesisViolation", "InconclusiveError",
     "arithmetic_hardy", "copson_constant", "finite_lower_bound",
     "finite_lower_bound_sweep", "geometric_probe", "kedlaya_estimate",

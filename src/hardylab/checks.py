@@ -1,10 +1,11 @@
 """Constructive rearrangement and executable comparison checks.
 
-Implements the equal-sum nonincreasing rearrangement (expand by integer
-weight counts, sort, re-average per block), the prefix-mean comparison it
-feeds, the coarsening comparison of arithmetic constants at matched
-truncations, nonincreasing running means of step profiles, the perturbed
-dyadic family's constants, and the sup-at-ones cap sweep.
+Implements the equal-sum nonincreasing rearrangement (sort, then pour the
+exact Fraction weight masses back into blocks and average), the
+prefix-mean comparison it feeds, the coarsening comparison of arithmetic
+constants at matched truncations, nonincreasing running means of step
+profiles, the perturbed dyadic family's constants, and the sup-at-ones
+cap sweep.
 
 Checks that assert a theorem under its hypotheses report pass/fail and a
 signed worst margin (the minimum slack of the asserted inequality;
@@ -24,19 +25,17 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .scalars import Number, json_ready
 from .kernel import MeanSpec, StepFunction, WeightVector, evaluate, interval_mean
 from .families import power
-from .weights import WeightSeq, is_coarsening_of, make_sequence, random_rational_sequence
+from .weights import (WeightSeq, _match_partial_sums, is_coarsening_of, make_sequence,
+                      random_rational_sequence)
 from .search import OptimizerConfig
 from . import hardy as _hardy
 
 DEFAULT_MARGIN_TOL = 1e-10
 
-# expanding rationals to unit atoms is exact or nothing; reject instead of
-# approximating when the scaled weights would need more atoms than this
-DEFAULT_EXPANSION_BUDGET = 1_000_000
-
 
 class ExpansionBudgetError(RuntimeError):
-    """Integer-scaling the weights would exceed the atom budget."""
+    """No longer raised: the rearrangement merges exact Fraction weights
+    without expanding them. Kept so code that catches it still imports."""
 
 
 @dataclass(frozen=True)
@@ -81,71 +80,47 @@ class CheckReport:
 class RearrangementResult:
     """Nonincreasing block-average rearrangement with the same weighted sum.
 
-    y holds exact rationals (input floats are embedded exactly), K is the
-    integer scaling factor applied to the weights, expansion_size the
-    number of unit atoms the construction sorted.
+    y holds exact rationals (input floats are embedded exactly).
     """
 
     y: Tuple[Fraction, ...]
-    scale_factor: int
-    expansion_size: int
 
     def y_floats(self) -> Tuple[float, ...]:
         return tuple(float(v) for v in self.y)
 
     def to_json(self) -> dict:
-        return {
-            "y": json_ready(self.y),
-            "y_float": list(self.y_floats()),
-            "scale_factor": self.scale_factor,
-            "expansion_size": self.expansion_size,
-        }
+        return {"y": json_ready(self.y), "y_float": list(self.y_floats())}
 
 
-def equal_sum_rearrangement(x: Sequence[Number], w,
-                            budget: int = DEFAULT_EXPANSION_BUDGET) -> RearrangementResult:
+def equal_sum_rearrangement(x: Sequence[Number], w) -> RearrangementResult:
     """Sort x into nonincreasing block averages without moving weight.
 
-    Scales the rational weights by their common denominator K, expands
-    each x_i into its integer count of unit atoms, sorts the atoms
-    nonincreasing, and averages them back blockwise under the original
-    weights. The weighted sum is preserved exactly; the output is
-    nonincreasing envelope-by-envelope even when x was not.
+    Sorts the (value, weight) pairs by value, nonincreasing, and pours
+    their exact Fraction masses back into blocks of the original weights,
+    each block taking the average of what it received. The weighted sum
+    is preserved exactly; the output is nonincreasing even when x was not.
     """
     wv = w if isinstance(w, WeightVector) else WeightVector.of(w)
     if wv.number_mode != "exact_rational":
         raise TypeError("rearrangement needs rational weights (use p/q literals)")
     if len(x) != len(wv):
         raise ValueError("x and w must have equal length")
-    counts_frac = [Fraction(v) for v in wv]
-    K = math.lcm(*(f.denominator for f in counts_frac))
-    counts = [int(f * K) for f in counts_frac]
-    total = sum(counts)
-    if total > budget:
-        raise ExpansionBudgetError(
-            f"scaling weights by K={K} expands to {total} atoms, over the "
-            f"budget of {budget}")
+    ws = [Fraction(v) for v in wv]
     xs = [Fraction(v) for v in x]
-    atoms: List[Tuple[Fraction, int]] = []  # (value, multiplicity), kept run-length
-    for v, c in zip(xs, counts):
-        atoms.append((v, c))
-    atoms.sort(key=lambda t: t[0], reverse=True)
+    runs = iter(sorted(zip(xs, ws), key=lambda t: t[0], reverse=True))
+    v, left = next(runs)  # value of the current run and its mass not yet poured
     y: List[Fraction] = []
-    it = iter(atoms)
-    cur_v, cur_c = Fraction(0), 0
-    for c in counts:
-        need = c
-        acc = Fraction(0)
-        while need:
-            if cur_c == 0:
-                cur_v, cur_c = next(it)
-            take = min(need, cur_c)
-            acc += cur_v * take
-            cur_c -= take
-            need -= take
-        y.append(acc / c)
-    assert sum(a * b for a, b in zip(y, counts)) == sum(a * b for a, b in zip(xs, counts))
-    return RearrangementResult(y=tuple(y), scale_factor=K, expansion_size=total)
+    for m in ws:
+        need, acc = m, Fraction(0)
+        while left < need:  # the block takes the rest of this run
+            acc += v * left
+            need -= left
+            v, left = next(runs)
+        acc += v * need
+        left -= need
+        y.append(acc / m)
+    assert sum(a * b for a, b in zip(y, ws)) == sum(a * b for a, b in zip(xs, ws))
+    return RearrangementResult(y=tuple(y))
 
 
 # ---------------------------------------------------------------------------
@@ -240,33 +215,6 @@ def jcin_sweep(mean: MeanSpec, trials: int = 200, seed: int = 0, *,
 # ---------------------------------------------------------------------------
 
 
-def _match_boundaries(psi: WeightSeq, lam: WeightSeq, terms: int, *,
-                      max_steps: int = 500_000) -> List[int]:
-    """n_m with psi.partial_sum(m) == lam.partial_sum(n_m), for m = 1..terms."""
-    if not (psi.exact and lam.exact):
-        raise TypeError("matched truncations need exact-rational sequences")
-    out: List[int] = []
-    n = 0
-    lam_sum: Number = 0
-    steps = 0
-    for m in range(1, terms + 1):
-        target = psi.partial_sum(m)
-        while lam_sum < target:
-            n += 1
-            steps += 1
-            if steps > max_steps:
-                raise RuntimeError(
-                    f"walked {max_steps} terms of {lam.descriptor} without "
-                    f"matching partial sum {m} of {psi.descriptor}")
-            lam_sum = lam.partial_sum(n)
-        if lam_sum != target:
-            raise _hardy.HypothesisViolation(
-                f"{psi.descriptor} is not a coarsening of {lam.descriptor}: "
-                f"partial sum {m} falls between consecutive partial sums")
-        out.append(n)
-    return out
-
-
 def verify_cut(mean_or_closed_form: Union[str, MeanSpec], psi: WeightSeq,
                lam: WeightSeq, N: int, tol: float = 1e-2, *,
                config: OptimizerConfig = OptimizerConfig()) -> CheckReport:
@@ -284,7 +232,11 @@ def verify_cut(mean_or_closed_form: Union[str, MeanSpec], psi: WeightSeq,
         if mean_or_closed_form not in ("arithmetic", "power:1"):
             raise ValueError(
                 f"unknown closed form {mean_or_closed_form!r}; expected 'arithmetic'")
-        ns = _match_boundaries(psi, lam, N)
+        ns = _match_partial_sums(psi, lam, N)
+        if ns is None:
+            raise _hardy.HypothesisViolation(
+                f"{psi.descriptor} is not a coarsening of {lam.descriptor}: "
+                "a partial sum falls between consecutive partial sums")
         coarse: Number = 0
         margin = None
         worst = {}

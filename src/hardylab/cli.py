@@ -14,9 +14,7 @@ domain were violated.
 
 Output is deterministic for a fixed argv and seed: JSON has sorted keys,
 a "schema" tag and no timestamps; rational values print as "p/q". Number
-literals on the command line parse exactly unless --float is given. The
-HARDY_THREADS environment variable caps worker threads; results do not
-depend on it.
+literals on the command line parse exactly unless --float is given.
 """
 
 from __future__ import annotations
@@ -25,12 +23,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .scalars import Number, format_number, json_ready, parse_number
+from .scalars import Number, format_number, json_ready, parse_float, parse_number
 from .kernel import MeanDomainError, MeanSpec, check_axioms, step_profile
 from .families import parse_mean
 from .weights import WeightSeq, as_float, coarsen, make_sequence, ratio_diagnostics
@@ -38,8 +35,7 @@ from .search import OptimizerConfig
 from .hardy import (HypothesisViolation, InconclusiveError, arithmetic_hardy,
                     copson_constant, finite_lower_bound, geometric_probe,
                     kedlaya_estimate, unweighted_limit)
-from .checks import (ExpansionBudgetError, equal_sum_rearrangement, jcin_sweep,
-                     lsc_example_table, mu1_sweep, verify_cut,
+from .checks import (jcin_sweep, lsc_example_table, mu1_sweep, verify_cut,
                      verify_decreasing, verify_jcin)
 
 SCHEMA = "hardy-lab/1"
@@ -55,16 +51,6 @@ class Rendered:
     report: dict
     text: str
     rows: Optional[List[List[object]]] = None
-
-
-def _threads() -> int:
-    raw = os.environ.get("HARDY_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"HARDY_THREADS must be an integer, got {raw!r}") from None
 
 
 def _parse_values(text: str, float_mode: bool) -> List[Number]:
@@ -151,7 +137,7 @@ def _check_exit(rep) -> int:
 def _cmd_constant(args) -> Rendered:
     if args.copson is not None:
         p = parse_number(args.copson)
-        value = copson_constant(float(p))
+        value = copson_constant(parse_float(args.copson))
         report = {"constant": "copson", "order": format_number(p),
                   "value": json_ready(value)}
         return Rendered(0, "constant", {"copson": format_number(p)}, report,
@@ -168,12 +154,15 @@ def _cmd_constant(args) -> Rendered:
 
 def _cmd_estimate(args) -> Rendered:
     lam = _weights_arg(args.weights, args.float)
-    cfg = OptimizerConfig(starts=args.starts, seed=args.seed, threads=_threads())
+    cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
     if args.method == "finite":
         mean = parse_mean(args.mean)
         est = finite_lower_bound(mean, lam, args.N, cfg)
     elif args.method == "geometric-probe":
-        est = geometric_probe(lam, parse_number(args.q), args.N)
+        qs = _parse_values(args.q, args.float)
+        if len(qs) != 1:
+            raise ValueError(f"--q takes one ratio, got {args.q!r}")
+        est = geometric_probe(lam, qs[0], args.N)
     elif args.method == "kedlaya":
         mean = parse_mean(args.mean)
         est = kedlaya_estimate(mean, lam, args.N, window=args.window)
@@ -240,7 +229,7 @@ def _cmd_verify_cut(args) -> Rendered:
         raise ValueError("--N asks for more truncations than --blocks covers")
     psi = coarsen(lam, blocks)
     target = args.mean if args.mean in ("arithmetic", "power:1") else parse_mean(args.mean)
-    cfg_opt = OptimizerConfig(starts=args.starts, seed=args.seed, threads=_threads())
+    cfg_opt = OptimizerConfig(starts=args.starts, seed=args.seed)
     rep = verify_cut(target, psi, lam, n_terms, tol=args.tol, config=cfg_opt)
     cfg = {"mean": args.mean, "weights": args.weights, "blocks": args.blocks,
            "N": n_terms, "tol": args.tol, "seed": args.seed}
@@ -274,9 +263,8 @@ def _cmd_verify_lsc(args) -> Rendered:
 
 def _cmd_verify_mu1(args) -> Rendered:
     mean = parse_mean(args.mean)
-    cap = float(parse_number(args.cap)) if args.cap is not None else None
-    cfg_opt = OptimizerConfig(starts=args.starts, seed=args.seed,
-                              threads=_threads())
+    cap = parse_float(args.cap) if args.cap is not None else None
+    cfg_opt = OptimizerConfig(starts=args.starts, seed=args.seed)
     rep = mu1_sweep(mean, trials=args.trials, N=args.N, seed=args.seed,
                     cap=cap, tol=args.tol, config=cfg_opt)
     cfg = {"mean": args.mean, "trials": args.trials, "N": args.N,
@@ -287,8 +275,7 @@ def _cmd_verify_mu1(args) -> Rendered:
 
 def _cmd_explore_continuity(args) -> Rendered:
     mean = parse_mean(args.mean)
-    cfg_opt = OptimizerConfig(starts=args.starts, seed=args.seed,
-                              threads=_threads())
+    cfg_opt = OptimizerConfig(starts=args.starts, seed=args.seed)
     rows_out = []
     for tok in args.s_grid.split(","):
         s = parse_number(tok)
@@ -491,8 +478,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         rendered = args.handler(args)
-    except (HypothesisViolation, InconclusiveError, ExpansionBudgetError,
-            MeanDomainError) as exc:
+    except (HypothesisViolation, InconclusiveError, MeanDomainError) as exc:
         print(f"hardy: {exc}", file=sys.stderr)
         return 3
     except (ValueError, TypeError) as exc:

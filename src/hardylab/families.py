@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .kernel import MeanDomainError, MeanFlags, MeanSpec, WeightVector, _validate_points
-from .scalars import all_exact, format_number, parse_number
+from .scalars import all_exact, format_number, parse_float
 
 # below this magnitude an order behaves as 0 (geometric), above the upper
 # cutoff as +/-inf (max/min); in between, sums go through shifted
@@ -204,7 +204,7 @@ def parse_mean(text: str) -> MeanSpec:
         return power(1.0)
     if head == "power" and sep:
         try:
-            return power(float(parse_number(arg)))
+            return power(parse_float(arg))
         except ValueError:
             raise ValueError(f"bad power order {arg!r} in {text!r}") from None
     if head == "quasiarithmetic" and sep:

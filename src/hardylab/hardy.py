@@ -30,7 +30,7 @@ import numpy as np
 
 from .scalars import Number, format_number, is_exact, json_ready
 from .kernel import MeanSpec
-from .search import OptimizerConfig, SearchResult, _PrefixEngine, hardy_ratio, maximize_hardy_ratio
+from .search import OptimizerConfig, SearchResult, maximize_hardy_ratio, prefix_means
 from .weights import WeightSeq, ratio_diagnostics
 
 # trailing-window fraction for steady-state estimates and the a(N)-a(N/2)
@@ -258,15 +258,17 @@ def _steady_stats(values: np.ndarray, window: float) -> Tuple[float, bool, float
     return steady, drift > DIVERGENCE_DRIFT, drift
 
 
-def kedlaya_sequence(mean: MeanSpec, lam: WeightSeq, y: float, N: int) -> np.ndarray:
-    """a_n = (W_n / y) * M(y/W_1, ..., y/W_n; w_1..w_n) for n = 1..N."""
+def _substitution_terms(mean: MeanSpec, w: np.ndarray, W: np.ndarray,
+                        y: float) -> np.ndarray:
     if not y > 0:
         raise ValueError("need y > 0")
+    return (W / y) * prefix_means(mean, y / W, w)
+
+
+def kedlaya_sequence(mean: MeanSpec, lam: WeightSeq, y: float, N: int) -> np.ndarray:
+    """a_n = (W_n / y) * M(y/W_1, ..., y/W_n; w_1..w_n) for n = 1..N."""
     w = lam.terms_floats(N)
-    W = np.cumsum(w)
-    eng = _PrefixEngine(mean, w)
-    eng.rebuild(y / W)
-    return (W / y) * eng.mn
+    return _substitution_terms(mean, w, np.cumsum(w), y)
 
 
 def kedlaya_estimate(mean: MeanSpec, lam: WeightSeq, N: int, *,
@@ -277,12 +279,15 @@ def kedlaya_estimate(mean: MeanSpec, lam: WeightSeq, N: int, *,
     Requires divergent weight sums and nonincreasing term/partial-sum
     ratios (HypothesisViolation otherwise; unknown divergence also
     refuses, since the route's conclusion rests on it). For each y the
-    steady value is the minimum of a_n over the trailing window; the
-    headline is the best y. For homogeneous means y cancels, so the whole
-    grid collapses to one value; the observed spread is reported either way.
+    steady value is the minimum of a_n over the trailing window, a
+    fraction in (0, 1] of the sequence; the headline is the best y. For
+    homogeneous means y cancels, so the whole grid collapses to one
+    value; the observed spread is reported either way.
     """
     if N < 4:
         raise ValueError("need N >= 4")
+    if not 0 < window <= 1:
+        raise ValueError(f"window must lie in (0, 1], got {window!r}")
     if lam.sum_diverges is not True:
         state = "converges" if lam.sum_diverges is False else "is not certified to diverge"
         raise HypothesisViolation(
@@ -295,10 +300,12 @@ def kedlaya_estimate(mean: MeanSpec, lam: WeightSeq, N: int, *,
             f"over the first {N} terms")
     if not y_grid:
         raise ValueError("y_grid must be nonempty")
+    w = lam.terms_floats(N)
+    W = np.cumsum(w)
     per_y = []
     best = None
     for y in (float(v) for v in y_grid):
-        a = kedlaya_sequence(mean, lam, y, N)
+        a = _substitution_terms(mean, w, W, y)
         steady, trend, drift = _steady_stats(a, window)
         row = {"y": y, "steady": steady, "divergent_trend": trend, "drift": drift}
         per_y.append(row)
@@ -329,10 +336,8 @@ def unweighted_limit(mean: MeanSpec, N: int) -> HardyEstimate:
     """
     if N < 4:
         raise ValueError("need N >= 4")
-    w = np.ones(N)
-    eng = _PrefixEngine(mean, w)
-    eng.rebuild(1.0 / np.arange(1.0, N + 1.0))
-    a = np.arange(1.0, N + 1.0) * eng.mn
+    n = np.arange(1.0, N + 1.0)
+    a = n * prefix_means(mean, 1.0 / n, np.ones(N))
     steady, trend, drift = _steady_stats(a, STEADY_WINDOW)
     return HardyEstimate(
         kind="unweighted-limit", mean=mean.name, weights="ones", N=N,

@@ -38,6 +38,15 @@ def parse_number(text: str) -> Number:
     return int(value) if value.denominator == 1 else value
 
 
+def parse_float(text: str) -> float:
+    """parse_number rounded to a float; a literal beyond the float range is
+    a ValueError, not an OverflowError."""
+    try:
+        return float(parse_number(text))
+    except OverflowError:
+        raise ValueError(f"{text.strip()!r} is beyond the float range") from None
+
+
 def format_number(value: Number) -> str:
     """Render for display: rationals as p/q, integral floats without a
     trailing .0, infinities as inf/-inf."""

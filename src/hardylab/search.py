@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -55,7 +54,6 @@ class OptimizerConfig:
     scan_points: int = 13
     span_decades: float = 10.0
     refine_iters: int = 24
-    threads: int = 1
     warm_starts: Tuple[Tuple[float, ...], ...] = ()
 
 
@@ -96,8 +94,6 @@ class _PrefixEngine:
         self.w = np.asarray(w, dtype=float)
         self.n = len(self.w)
         self.W = np.cumsum(self.w)
-        self.logw = np.log(self.w)
-        self.logW = np.log(self.W)
         self.mode = "generic"
         if mean.family == "power":
             p = float(mean.params)
@@ -114,6 +110,8 @@ class _PrefixEngine:
             else:
                 self.mode = "logsum"
                 self.p = p
+                self.logw = np.log(self.w)
+                self.logW = np.log(self.W)
         elif mean.family == "quasiarithmetic":
             gen = mean.params
             self.mode = "transform"
@@ -123,32 +121,33 @@ class _PrefixEngine:
     # state: per-prefix means of the current x plus whatever running
     # quantity the fast path shifts (transform sums, log-sums, extremes)
 
-    def rebuild(self, x: np.ndarray) -> None:
-        self.x = np.asarray(x, dtype=float)
+    def means(self, x: np.ndarray) -> np.ndarray:
+        """Per-prefix means of x, keeping the running quantity candidate()
+        shifts."""
         w, W = self.w, self.W
         with np.errstate(all="ignore"):
             if self.mode == "transform":
-                self.F = np.asarray(self._phi(self.x), dtype=float)
+                self.F = np.asarray(self._phi(x), dtype=float)
                 self.T = np.cumsum(w * self.F)
-                mn = np.asarray(self._psi(self.T / W), dtype=float)
-            elif self.mode == "logsum":
-                c = self.logw + self.p * np.log(self.x)
+                return np.asarray(self._psi(self.T / W), dtype=float)
+            if self.mode == "logsum":
+                c = self.logw + self.p * np.log(x)
                 self.L = np.logaddexp.accumulate(c)
-                mn = np.exp((self.L - self.logW) / self.p)
-            elif self.mode == "min":
-                self.M = np.minimum.accumulate(self.x)
-                mn = self.M
-            elif self.mode == "max":
-                self.M = np.maximum.accumulate(self.x)
-                mn = self.M
-            else:
-                mn = np.array([
-                    evaluate(self.mean, self.x[: k + 1], w[: k + 1])
-                    for k in range(self.n)
-                ])
-        self.mn = mn
-        self.PN = np.cumsum(w * mn)
-        self.D = float(np.dot(w, self.x))
+                return np.exp((self.L - self.logW) / self.p)
+            if self.mode == "min":
+                self.M = np.minimum.accumulate(x)
+                return self.M
+            if self.mode == "max":
+                self.M = np.maximum.accumulate(x)
+                return self.M
+            return np.array([evaluate(self.mean, x[: k + 1], w[: k + 1])
+                             for k in range(self.n)])
+
+    def rebuild(self, x: np.ndarray) -> None:
+        self.x = np.asarray(x, dtype=float)
+        self.mn = self.means(self.x)
+        self.PN = np.cumsum(self.w * self.mn)
+        self.D = float(np.dot(self.w, self.x))
         num = float(self.PN[-1])
         self.value = num / self.D if math.isfinite(num) and self.D > 0 else -math.inf
 
@@ -187,6 +186,12 @@ class _PrefixEngine:
         if not (math.isfinite(num) and den > 0):
             return -math.inf
         return num / den
+
+
+def prefix_means(mean: MeanSpec, x: Sequence[float], w: Sequence[float]) -> np.ndarray:
+    """M(x_1..x_n; w_1..w_n) for n = 1..len(w), through the same running
+    formulas the search evaluates."""
+    return _PrefixEngine(mean, w).means(np.asarray(x, dtype=float))
 
 
 def hardy_ratio(mean: MeanSpec, x: Sequence[float], w: Sequence[float], *,
@@ -294,9 +299,8 @@ def maximize_hardy_ratio(mean: MeanSpec, w: Sequence[float],
 
     Deterministic for a fixed config: starts are seeded by index, results
     are reduced by best value with lexicographically smallest witness as
-    the tie-break, independent of thread scheduling. The returned value
-    is recomputed fresh at the witness rather than trusted from the
-    incremental bookkeeping.
+    the tie-break. The returned value is recomputed fresh at the witness
+    rather than trusted from the incremental bookkeeping.
     """
     w_arr = np.asarray(w, dtype=float)
     if w_arr.ndim != 1 or len(w_arr) == 0:
@@ -310,14 +314,7 @@ def maximize_hardy_ratio(mean: MeanSpec, w: Sequence[float],
             raise ValueError("warm starts must match the weight prefix length")
         starts.append(np.maximum(v, config.floor))
 
-    def run(x0):
-        return _ascend(mean, w_arr, x0, config)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(run, starts))
-    else:
-        outcomes = [run(x0) for x0 in starts]
+    outcomes = [_ascend(mean, w_arr, x0, config) for x0 in starts]
 
     best = max(outcomes, key=lambda o: (o[0], tuple(-c for c in o[1])))
     value, witness, conv, _ = best

@@ -24,6 +24,10 @@ from .scalars import Number, format_number, is_exact, json_ready, parse_number
 # arithmetic for fast-growing sequences; fall back to floats there
 EXACT_RATIO_LIMIT = 10_000
 
+# cap on the terms of the finer sequence walked while matching partial
+# sums, a backstop for partial sums that never reach their target
+MAX_WALK_STEPS = 500_000
+
 
 class WeightSeq:
     """Lazy strictly positive weight sequence, 1-indexed.
@@ -372,31 +376,39 @@ def coarsen(w: WeightSeq, blocks: Sequence[int]) -> WeightSeq:
         divergence_reason=w.divergence_reason)
 
 
+def _match_partial_sums(psi: WeightSeq, lam: WeightSeq, terms: int, *,
+                        max_steps: int = MAX_WALK_STEPS) -> Optional[List[int]]:
+    """Indices n_m with psi.partial_sum(m) == lam.partial_sum(n_m) for
+    m = 1..terms, or None once a partial sum of psi falls strictly between
+    two consecutive partial sums of lam."""
+    if not (psi.exact and lam.exact):
+        raise TypeError("partition-order check requires exact-rational sequences")
+    out: List[int] = []
+    n = 0
+    lam_sum: Number = 0
+    for m in range(1, terms + 1):
+        target = psi.partial_sum(m)
+        while lam_sum < target:
+            if n >= max_steps:
+                raise RuntimeError(
+                    f"walked {max_steps} terms of {lam.descriptor} without "
+                    f"reaching partial sum {m} of {psi.descriptor}")
+            n += 1
+            lam_sum = lam.partial_sum(n)
+        if lam_sum != target:
+            return None
+        out.append(n)
+    return out
+
+
 def is_coarsening_of(psi: WeightSeq, lam: WeightSeq, terms: int, *,
-                     max_steps: int = 200_000) -> bool:
+                     max_steps: int = MAX_WALK_STEPS) -> bool:
     """Exact prefix certificate for the partition order: the first `terms`
     partial sums of psi all occur among the partial sums of lam.
 
     True certifies the examined prefix only, never the full infinite
     relation. Requires exact-rational sequences; float inputs raise.
     """
-    if not (psi.exact and lam.exact):
-        raise TypeError("partition-order check requires exact-rational sequences")
     if terms < 1:
         raise ValueError("need terms >= 1")
-    n = 0
-    lam_sum: Number = 0
-    steps = 0
-    for k in range(1, terms + 1):
-        target = psi.partial_sum(k)
-        while lam_sum < target:
-            n += 1
-            steps += 1
-            if steps > max_steps:
-                raise RuntimeError(
-                    f"partition-order search walked {max_steps} terms of "
-                    f"{lam.descriptor} without reaching the target partial sum")
-            lam_sum = lam.partial_sum(n)
-        if lam_sum != target:
-            return False
-    return True
+    return _match_partial_sums(psi, lam, terms, max_steps=max_steps) is not None

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab.checks import (ExpansionBudgetError, equal_sum_rearrangement,
-                             jcin_sweep, lsc_example_table, mu1_sweep,
-                             verify_cut, verify_decreasing, verify_jcin)
+from hardylab.checks import (equal_sum_rearrangement, jcin_sweep,
+                             lsc_example_table, mu1_sweep, verify_cut,
+                             verify_decreasing, verify_jcin)
 from hardylab.families import power
 from hardylab.hardy import HypothesisViolation
 from hardylab.kernel import StepFunction, evaluate, step_profile
@@ -20,18 +20,32 @@ SMALL = OptimizerConfig(starts=3, seed=0)
 fractions_pos = st.fractions(min_value=Fraction(1, 20), max_value=100,
                              max_denominator=20)
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def unit_atom_rearrangement(x, w):
+    """Independent route: scale the weights to integers, expand every x_i
+    into that many unit atoms, sort them nonincreasing and average the
+    atoms back block by block."""
+    scale = math.lcm(*(Fraction(v).denominator for v in w))
+    counts = [int(Fraction(v) * scale) for v in w]
+    atoms = sorted((Fraction(v) for v, c in zip(x, counts) for _ in range(c)),
+                   reverse=True)
+    out, start = [], 0
+    for c in counts:
+        out.append(sum(atoms[start:start + c]) / c)
+        start += c
+    return tuple(out)
+
 
 class TestRearrangement:
     def test_integer_weights(self):
         res = equal_sum_rearrangement((1, 3), (2, 1))
         assert res.y == (2, 1)
-        assert res.scale_factor == 1 and res.expansion_size == 3
 
     def test_rational_weights_scale_by_common_denominator(self):
         res = equal_sum_rearrangement((1, 2), (Fraction(1, 2), Fraction(1, 3)))
-        assert res.scale_factor == 6
         assert res.y == (Fraction(5, 3), 1)
-        assert res.expansion_size == 5
 
     def test_already_sorted_input_is_fixed(self):
         res = equal_sum_rearrangement((5, 3, 2), (1, 1, 2))
@@ -45,9 +59,18 @@ class TestRearrangement:
             sum(Fraction(v) * c for v, c in zip(x, w))
         assert res.y_floats()[0] >= res.y_floats()[1] >= res.y_floats()[2]
 
-    def test_expansion_budget(self):
-        with pytest.raises(ExpansionBudgetError):
-            equal_sum_rearrangement((1, 2), (Fraction(3, 2), Fraction(1, 1_000_003)))
+    def test_prime_reciprocal_weights_merge_exactly(self):
+        # scaled to integers these weights would need 334,406,399 unit
+        # atoms; the Fraction merge never expands them
+        x = [Fraction(k) for k in range(1, 10)]
+        w = [Fraction(1, q) for q in PRIMES]
+        res = equal_sum_rearrangement(x, w)
+        assert sum(a * b for a, b in zip(res.y, w)) == \
+            sum(a * b for a, b in zip(x, w))
+        assert all(a >= b for a, b in zip(res.y, res.y[1:]))
+        rep = verify_jcin(power(Fraction(1, 2)), x, w)
+        assert rep.outcome == "pass"
+        assert rep.margin > 0.04
 
     def test_float_weights_rejected(self):
         with pytest.raises(TypeError, match="rational"):
@@ -75,6 +98,15 @@ class TestRearrangement:
         assert all(a >= b for a, b in zip(res.y, res.y[1:]))
         again = equal_sum_rearrangement(res.y, w)
         assert again.y == res.y
+
+    @given(x=st.lists(fractions_pos, min_size=1, max_size=6),
+           w=st.lists(st.fractions(min_value=Fraction(1, 6), max_value=4,
+                                   max_denominator=6), min_size=1, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_unit_atom_expansion(self, x, w):
+        n = min(len(x), len(w))
+        x, w = x[:n], w[:n]
+        assert equal_sum_rearrangement(x, w).y == unit_atom_rearrangement(x, w)
 
 
 class TestJcin:

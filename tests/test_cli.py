@@ -93,6 +93,15 @@ class TestEstimate:
         rep = json.loads(out)["report"]
         assert rep["value"] == pytest.approx(2.711875018209425, rel=1e-12)
 
+    @pytest.mark.parametrize("window", ["5", "0"])
+    def test_kedlaya_window_outside_unit_interval_is_usage_error(self, capsys, window):
+        code, out, err = run(capsys, "estimate", "--method", "kedlaya",
+                             "--mean", "power:0", "--weights", "ones",
+                             "--N", "2000", "--window", window)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("hardy: window must lie in (0, 1]")
+
     def test_kedlaya_refuses_convergent_weights(self, capsys):
         code, _, err = run(capsys, "estimate", "--method", "kedlaya",
                            "--mean", "power:0", "--weights", "dyadic",
@@ -196,16 +205,13 @@ class TestExplore:
 
 
 class TestPlumbing:
-    def test_json_output_is_byte_deterministic(self, capsys, monkeypatch):
+    def test_json_output_is_byte_deterministic(self, capsys):
         args = ("estimate", "--method", "finite", "--mean", "power:1/2",
                 "--weights", "ones", "--N", "12", "--starts", "3",
                 "--format", "json")
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
-        monkeypatch.setenv("HARDY_THREADS", "4")
-        _, threaded, _ = run(capsys, *args)
-        assert threaded == first
 
     def test_no_timestamps_in_json(self, capsys):
         _, out, _ = run(capsys, "constant", "--copson", "1/2",
@@ -248,6 +254,14 @@ class TestPlumbing:
         ("estimate", "--method", "finite", "--mean", "power:zzz"),
         ("verify", "jcin", "--mean", "power:1", "--x", "1,,2", "--w", "1,1"),
         ("verify", "cut", "--weights", "ones", "--blocks", "0"),
+        ("estimate", "--method", "geometric-probe", "--weights", "dyadic",
+         "--q", "0.1", "--N", "60"),
+        # literals beyond the float range
+        ("estimate", "--method", "finite", "--mean", "power:1e400",
+         "--weights", "dyadic", "--N", "8"),
+        ("constant", "--copson", "1e400"),
+        ("verify", "mu1-sweep", "--mean", "power:1/2", "--cap", "1e400",
+         "--trials", "1", "--N", "4"),
     ])
     def test_usage_errors_exit_two(self, capsys, argv):
         code, _, err = run(capsys, *argv)

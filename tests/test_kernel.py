@@ -149,6 +149,22 @@ class TestCheckAxioms:
         assert rep.passed
         assert rep.outcomes["elimination"].skipped
 
+    @pytest.mark.parametrize("order, seed", [(3, 0), (2, 35), (-3, 0), (4, 0)])
+    def test_elimination_holds_for_larger_orders(self, order, seed):
+        # the appended weight must be small enough that (z/x)^p cannot
+        # keep the perturbation above threshold at the probe
+        rep = check_axioms(power(order), trials=200, seed=seed)
+        assert rep.outcomes["elimination"].passed, rep.outcomes["elimination"]
+
+    def test_max_mean_claiming_continuity_fails_elimination(self):
+        flags = MeanFlags(symmetric=True, monotone=True, homogeneous=True,
+                          continuous_in_weights=True)
+        rep = check_axioms(power(math.inf, flags=flags), trials=60, seed=0)
+        oc = rep.outcomes["elimination"]
+        assert not oc.passed and oc.failures > 0
+        assert replay_axiom(power(math.inf, flags=flags), "elimination",
+                            oc.witness) == pytest.approx(oc.worst_violation)
+
     def test_unclaimed_flags_are_skipped_not_run(self):
         rep = check_axioms(parse_mean("power:2"), trials=40, seed=0)
         assert rep.outcomes["concave"].skipped == "flag not claimed"

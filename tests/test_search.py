@@ -8,7 +8,7 @@ from hardylab.families import (make_generator, parse_mean, power,
                                quasiarithmetic)
 from hardylab.kernel import MeanFlags, MeanSpec, evaluate
 from hardylab.search import (OptimizerConfig, _PrefixEngine, hardy_ratio,
-                             maximize_hardy_ratio)
+                             maximize_hardy_ratio, prefix_means)
 from hardylab.weights import make_sequence
 
 
@@ -36,6 +36,15 @@ def test_hardy_ratio_matches_brute_force(mean):
     got = hardy_ratio(mean, x, w, dense_check=True)
     want = brute_ratio(mean, x, w)
     assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("mean", MEANS, ids=lambda m: m.name)
+def test_prefix_means_match_direct_evaluation(mean):
+    w = list(make_sequence("geometric:3/4").terms_floats(9))
+    x = [2.0 / (k + 1) + 0.1 * k for k in range(9)]
+    got = prefix_means(mean, x, w)
+    want = [evaluate(mean, x[: n + 1], w[: n + 1]) for n in range(9)]
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_generic_engine_used_for_opaque_means():
@@ -87,16 +96,12 @@ def test_witness_respects_floor_and_value_is_reproducible():
     assert len(res.start_values) == 4
 
 
-def test_deterministic_across_runs_and_threads():
+def test_deterministic_across_runs():
     w = list(make_sequence("ones").terms_floats(12))
     base = OptimizerConfig(starts=5, seed=11)
     a = maximize_hardy_ratio(power(0.5), w, base)
     b = maximize_hardy_ratio(power(0.5), w, base)
     assert a.value == b.value and a.witness == b.witness
-    import dataclasses
-    threaded = dataclasses.replace(base, threads=3)
-    c = maximize_hardy_ratio(power(0.5), w, threaded)
-    assert c.value == a.value and c.witness == a.witness
 
 
 def test_warm_start_can_only_help():
