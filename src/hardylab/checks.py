@@ -105,6 +105,8 @@ def equal_sum_rearrangement(x: Sequence[Number], w) -> RearrangementResult:
         raise TypeError("rearrangement needs rational weights (use p/q literals)")
     if len(x) != len(wv):
         raise ValueError("x and w must have equal length")
+    if any(isinstance(v, float) and not math.isfinite(v) for v in x):
+        raise ValueError(f"x entries must be finite, got {list(x)!r}")
     ws = [Fraction(v) for v in wv]
     xs = [Fraction(v) for v in x]
     runs = iter(sorted(zip(xs, ws), key=lambda t: t[0], reverse=True))

@@ -54,19 +54,29 @@ class Rendered:
 
 
 def _parse_values(text: str, float_mode: bool) -> List[Number]:
+    """Every number literal of the command line: exact unless float_mode,
+    and within the float range either way."""
     toks = [t.strip() for t in text.replace(";", ",").split(",")]
     if not any(toks):
         raise ValueError("empty value list")
     if "" in toks:
         raise ValueError(f"malformed value list {text!r}: empty entry")
-    if float_mode:
-        return [float(t) for t in toks]
+    values: List[Number] = []
     for t in toks:
-        if "." in t or (("e" in t.lower()) and "inf" not in t.lower()):
+        if not float_mode and ("." in t or (("e" in t.lower()) and "inf" not in t.lower())):
             raise ValueError(
                 f"{t!r} is a float literal; write an exact ratio like p/q, "
                 "or pass --float to accept float precision")
-    return [parse_number(t) for t in toks]
+        rounded = parse_float(t)  # refuses literals beyond the float range
+        values.append(rounded if float_mode else parse_number(t))
+    return values
+
+
+def _parse_one(text: str, float_mode: bool, flag: str) -> Number:
+    values = _parse_values(text, float_mode)
+    if len(values) != 1:
+        raise ValueError(f"{flag} takes one number, got {text!r}")
+    return values[0]
 
 
 def _weights_arg(desc: str, float_mode: bool) -> WeightSeq:
@@ -136,8 +146,8 @@ def _check_exit(rep) -> int:
 
 def _cmd_constant(args) -> Rendered:
     if args.copson is not None:
-        p = parse_number(args.copson)
-        value = copson_constant(parse_float(args.copson))
+        p = _parse_one(args.copson, args.float, "--copson")
+        value = copson_constant(p)
         report = {"constant": "copson", "order": format_number(p),
                   "value": json_ready(value)}
         return Rendered(0, "constant", {"copson": format_number(p)}, report,
@@ -159,10 +169,7 @@ def _cmd_estimate(args) -> Rendered:
         mean = parse_mean(args.mean)
         est = finite_lower_bound(mean, lam, args.N, cfg)
     elif args.method == "geometric-probe":
-        qs = _parse_values(args.q, args.float)
-        if len(qs) != 1:
-            raise ValueError(f"--q takes one ratio, got {args.q!r}")
-        est = geometric_probe(lam, qs[0], args.N)
+        est = geometric_probe(lam, _parse_one(args.q, args.float, "--q"), args.N)
     elif args.method == "kedlaya":
         mean = parse_mean(args.mean)
         est = kedlaya_estimate(mean, lam, args.N, window=args.window)
@@ -263,7 +270,7 @@ def _cmd_verify_lsc(args) -> Rendered:
 
 def _cmd_verify_mu1(args) -> Rendered:
     mean = parse_mean(args.mean)
-    cap = parse_float(args.cap) if args.cap is not None else None
+    cap = float(_parse_one(args.cap, args.float, "--cap")) if args.cap is not None else None
     cfg_opt = OptimizerConfig(starts=args.starts, seed=args.seed)
     rep = mu1_sweep(mean, trials=args.trials, N=args.N, seed=args.seed,
                     cap=cap, tol=args.tol, config=cfg_opt)
@@ -277,8 +284,7 @@ def _cmd_explore_continuity(args) -> Rendered:
     mean = parse_mean(args.mean)
     cfg_opt = OptimizerConfig(starts=args.starts, seed=args.seed)
     rows_out = []
-    for tok in args.s_grid.split(","):
-        s = parse_number(tok)
+    for s in _parse_values(args.s_grid, args.float):
         if not (0 < s < 1):
             raise ValueError("--s-grid entries must lie in (0, 1)")
         lam = make_sequence(f"geometric:{format_number(s)}")
@@ -296,7 +302,10 @@ def _cmd_explore_continuity(args) -> Rendered:
     lines.append(f"ones      value={ones_est.value!r}")
     if cap is not None:
         lines.append(f"closed-form cap at unit weights: {cap!r}")
-    csv_rows = [["s", "value"]] + [[r["s"], repr(r["value"])] for r in rows_out]
+    csv_rows = [["s", "value", "gap_to_ones"]]
+    csv_rows += [[r["s"], repr(r["value"]), repr(ones_est.value - r["value"])]
+                 for r in rows_out]
+    csv_rows.append(["ones", repr(ones_est.value), repr(0.0)])
     cfg = {"mean": args.mean, "s_grid": args.s_grid, "N": args.N,
            "seed": args.seed}
     return Rendered(0, "explore-continuity", cfg, report, "\n".join(lines),

@@ -17,11 +17,30 @@ import numpy as np
 from .kernel import MeanDomainError, MeanFlags, MeanSpec, WeightVector, _validate_points
 from .scalars import all_exact, format_number, parse_float
 
-# below this magnitude an order behaves as 0 (geometric), above the upper
-# cutoff as +/-inf (max/min); in between, sums go through shifted
-# exponentials so large orders cannot overflow
+# The order policy shared by power_mean and the search's prefix engine.
+# Below GEOMETRIC_ORDER_CUTOFF an order behaves as 0 (geometric), above
+# EXTREME_ORDER_CUTOFF as +/-inf (max/min). Below NEAR_GEOMETRIC_LIMIT the
+# mean goes through u^p - 1 = expm1(p ln u), which keeps the digits that
+# u^p ~ 1 would round away; raw powers u^p stay in float range up to
+# RAW_POWER_LIMIT, and beyond it sums go through shifted exponentials.
 GEOMETRIC_ORDER_CUTOFF = 1e-8
+NEAR_GEOMETRIC_LIMIT = 1e-4
+RAW_POWER_LIMIT = 16.0
 EXTREME_ORDER_CUTOFF = 1e8
+
+
+def order_regime(p: float) -> str:
+    """How the order-p power mean is evaluated: "min", "max", "geometric",
+    "near_geometric", "raw" (powers u^p) or "log" (log domain)."""
+    if p > EXTREME_ORDER_CUTOFF:
+        return "max"
+    if p < -EXTREME_ORDER_CUTOFF:
+        return "min"
+    if abs(p) < GEOMETRIC_ORDER_CUTOFF:  # covers p == 0
+        return "geometric"
+    if abs(p) < NEAR_GEOMETRIC_LIMIT:
+        return "near_geometric"
+    return "raw" if abs(p) <= RAW_POWER_LIMIT else "log"
 
 
 def _normalized_weights(w) -> list:
@@ -38,9 +57,10 @@ def _normalized_weights(w) -> list:
 def power_mean(p: float, x, w) -> float:
     """Weighted power mean of order p at points x with weights w.
 
-    Orders -inf/+inf give the min/max, order 0 the geometric mean. The
-    result is clamped into [min x, max x]; the clamp only ever corrects
-    float rounding, since containment is guaranteed mathematically.
+    Orders -inf/+inf give the min/max, order 0 the geometric mean; see
+    order_regime for the cutoffs. The result is clamped into [min x, max x];
+    the clamp only ever corrects float rounding, since containment is
+    guaranteed mathematically.
     """
     xs = _validate_points(x)
     nw = _normalized_weights(w)
@@ -52,15 +72,19 @@ def power_mean(p: float, x, w) -> float:
     lo, hi = min(xs), max(xs)
     if lo == hi:
         return lo
-    if p > EXTREME_ORDER_CUTOFF:
+    regime = order_regime(p)
+    if regime == "max":
         return hi
-    if p < -EXTREME_ORDER_CUTOFF:
+    if regime == "min":
         return lo
-    if abs(p) < GEOMETRIC_ORDER_CUTOFF:  # covers p == 0
+    if regime == "geometric":
         out = math.exp(sum(nwi * math.log(v) for nwi, v in zip(nw, xs)))
+    elif regime == "near_geometric":
+        s = sum(nwi * math.expm1(p * math.log(v)) for nwi, v in zip(nw, xs))
+        out = math.exp(math.log1p(s) / p)
     elif p == 1.0:
         out = sum(nwi * v for nwi, v in zip(nw, xs))
-    else:
+    else:  # raw and log regimes alike: shifted exponentials cannot overflow
         z = [p * math.log(v) for v in xs]
         zmax = max(z)
         s = sum(nwi * math.exp(zi - zmax) for nwi, zi in zip(nw, z))

@@ -309,19 +309,27 @@ def _measure_mean_value(mean, wit, tol):
     return max(0.0, overshoot / max(hi, 1e-300) - tol)
 
 
+# probe weights for the elimination check, 1e-12 down to 1e-300
+_ELIMINATION_RUNGS = tuple(float(f"1e-{k}") for k in range(12, 301, 3))
+
+
 def _measure_elimination(mean, wit, tol):
     x, w, z = wit["x"], wit["w"], wit["z"]
     base = evaluate(mean, x, w)
-    errs = {}
-    for eps in (1e-12, 1e-15):
-        appended = evaluate(mean, list(x) + [z], list(w) + [eps])
-        errs[eps] = _rel_gap(base, appended)
-    # the perturbation must both be small and shrink with eps; it grows
-    # like eps * (z/x)^p, so the probe weights sit low enough for the limit
-    # to show at orders up to |p| = 4
-    viol = max(0.0, errs[1e-12] - 1e-2)
-    viol = max(viol, errs[1e-15] - max(0.1 * errs[1e-12], 100 * tol))
-    return viol
+
+    def gap(eps):
+        return _rel_gap(base, evaluate(mean, list(x) + [z], list(w) + [eps]))
+
+    # the perturbation must both be small and shrink with eps; it grows like
+    # eps * (z/x)^p, so descend the rungs to the first one where it is small
+    # (the first rung already is for |p| <= 4), then test the next rung
+    last = len(_ELIMINATION_RUNGS) - 2
+    for k in range(last + 1):
+        first = gap(_ELIMINATION_RUNGS[k])
+        if first <= 1e-2 or k == last:
+            break
+    second = gap(_ELIMINATION_RUNGS[k + 1])
+    return max(0.0, first - 1e-2, second - max(0.1 * first, 100 * tol))
 
 
 def _measure_symmetric(mean, wit, tol):

@@ -9,51 +9,55 @@ The inner loop is projected coordinate ascent: per coordinate a coarse
 log-grid scan followed by golden-section refinement, with incremental
 objective updates that touch only the suffix a coordinate change can
 affect. Known mean families get O(N-j) candidate evaluation through a
-running transform (power/quasi-arithmetic), a log-sum-exp chain (extreme
-finite orders), or running extremes; anything else falls back to direct
-prefix evaluation, which is quadratic and only sensible for small N.
+running transform (power orders up to families.RAW_POWER_LIMIT and
+quasi-arithmetic means) or a running accumulation (min, max, and
+log-sum-exp for larger orders); anything else falls back to direct prefix
+evaluation, which is quadratic and only sensible for small N.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
+from .families import order_regime
 from .kernel import MeanSpec, evaluate
-
-# transform path keeps raw powers x**p in float range for moderate orders;
-# beyond this the log-sum-exp chain takes over
-RAW_POWER_LIMIT = 16.0
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# positivity floor for coordinates
+_FLOOR = 1e-12
+# per coordinate: a scan of _SCAN_POINTS log-spaced values over
+# _SPAN_DECADES decades around the current one, then _REFINE_ITERS
+# golden-section steps
+_SCAN_POINTS = 13
+_SPAN_DECADES = 10.0
+_REFINE_ITERS = 24
+# a start stops after _MAX_UPDATES accepted coordinate moves, or once a full
+# sweep improves the objective by less than the fraction _REL_TOL
+_MAX_UPDATES = 10_000
+_REL_TOL = 1e-10
 # hard cap on full coordinate sweeps per start, a backstop against cycling
 _MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the finite-section search.
+    """What a caller chooses about the finite-section search.
 
     starts counts built-in starting points (3 structured + the rest
-    random); warm_starts are extra caller-supplied vectors. floor is the
-    positivity floor for coordinates. max_updates caps accepted
-    coordinate moves per start; rel_tol stops a start once a full sweep
-    improves the objective by less than that fraction.
+    random, seeded by seed); warm_starts are extra caller-supplied
+    vectors. The step schedule and stopping rules are the module
+    constants _FLOOR, _SCAN_POINTS, _SPAN_DECADES, _REFINE_ITERS,
+    _MAX_UPDATES, _REL_TOL and _MAX_SWEEPS.
     """
 
     starts: int = 8
     seed: int = 0
-    floor: float = 1e-12
-    max_updates: int = 10_000
-    rel_tol: float = 1e-10
-    scan_points: int = 13
-    span_decades: float = 10.0
-    refine_iters: int = 24
     warm_starts: Tuple[Tuple[float, ...], ...] = ()
 
 
@@ -87,7 +91,21 @@ def _vectorized(fn: Callable) -> Callable:
 
 
 class _PrefixEngine:
-    """Running-prefix objective for one mean over fixed weights."""
+    """Running-prefix objective for one mean over fixed weights.
+
+    The power family's order picks the mode through families.order_regime,
+    the rule power_mean follows too:
+
+    - "transform" (power orders up to RAW_POWER_LIMIT, quasi-arithmetic
+      means): keeps F = phi(x) and T = cumsum(w * F); a candidate shifts
+      the suffix of T by w[j] * (phi(t) - F[j]).
+    - "accumulate" (min, max, larger power orders in the log domain): keeps
+      per-entry terms C and their running accumulation A under one ufunc
+      (np.minimum, np.maximum or np.logaddexp); a candidate replaces one
+      term and re-accumulates the suffix from A[j-1]. An output map turns
+      A into the means.
+    - "generic": evaluates every prefix directly, quadratic in N.
+    """
 
     def __init__(self, mean: MeanSpec, w: np.ndarray):
         self.mean = mean
@@ -97,29 +115,45 @@ class _PrefixEngine:
         self.mode = "generic"
         if mean.family == "power":
             p = float(mean.params)
-            if math.isinf(p):
-                self.mode = "min" if p < 0 else "max"
-            elif p == 0.0:
-                self.mode = "transform"
-                self._phi, self._psi = np.log, np.exp
-            elif abs(p) <= RAW_POWER_LIMIT:
-                self.mode = "transform"
-                inv = 1.0 / p
-                self._phi = lambda u: np.power(u, p)
-                self._psi = lambda v: np.power(v, inv)
+            regime = order_regime(p)
+            if regime in ("min", "max"):
+                ufunc, carry = ((np.minimum, np.inf) if regime == "min"
+                                else (np.maximum, -np.inf))
+                self._accumulate(ufunc, carry, lambda x: x, lambda j, t: t,
+                                 lambda a, j: a)
+            elif regime == "log":
+                logw, logW = np.log(self.w), np.log(self.W)
+                self._accumulate(np.logaddexp, -np.inf,
+                                 lambda x: logw + p * np.log(x),
+                                 lambda j, t: logw[j] + p * math.log(t),
+                                 lambda a, j: np.exp((a - logW[j:]) / p))
+            elif regime == "geometric":
+                self._transform(np.log, np.exp)
+            elif regime == "near_geometric":
+                self._transform(lambda u: np.expm1(p * np.log(u)),
+                                lambda v: np.exp(np.log1p(v) / p))
             else:
-                self.mode = "logsum"
-                self.p = p
-                self.logw = np.log(self.w)
-                self.logW = np.log(self.W)
+                inv = 1.0 / p
+                self._transform(lambda u: np.power(u, p),
+                                lambda v: np.power(v, inv))
         elif mean.family == "quasiarithmetic":
             gen = mean.params
-            self.mode = "transform"
-            self._phi = _vectorized(gen.forward)
-            self._psi = _vectorized(gen.inverse)
+            self._transform(_vectorized(gen.forward), _vectorized(gen.inverse))
 
-    # state: per-prefix means of the current x plus whatever running
-    # quantity the fast path shifts (transform sums, log-sums, extremes)
+    def _transform(self, phi: Callable, psi: Callable) -> None:
+        self.mode, self._phi, self._psi = "transform", phi, psi
+
+    def _accumulate(self, ufunc, carry: float, terms: Callable, term: Callable,
+                    out: Callable) -> None:
+        """terms(x) -> C for a whole vector, term(j, t) -> C[j] at x[j] = t,
+        out(A[j:], j) -> means of prefixes j+1..n; carry is the ufunc's
+        identity, the accumulation before the first entry."""
+        self.mode = "accumulate"
+        self._ufunc, self._carry = ufunc, carry
+        self._terms, self._term, self._out = terms, term, out
+
+    # state: per-prefix means of the current x plus the running quantity
+    # candidate() shifts (transform sums T, accumulations A)
 
     def means(self, x: np.ndarray) -> np.ndarray:
         """Per-prefix means of x, keeping the running quantity candidate()
@@ -130,16 +164,10 @@ class _PrefixEngine:
                 self.F = np.asarray(self._phi(x), dtype=float)
                 self.T = np.cumsum(w * self.F)
                 return np.asarray(self._psi(self.T / W), dtype=float)
-            if self.mode == "logsum":
-                c = self.logw + self.p * np.log(x)
-                self.L = np.logaddexp.accumulate(c)
-                return np.exp((self.L - self.logW) / self.p)
-            if self.mode == "min":
-                self.M = np.minimum.accumulate(x)
-                return self.M
-            if self.mode == "max":
-                self.M = np.maximum.accumulate(x)
-                return self.M
+            if self.mode == "accumulate":
+                self.C = self._terms(x)
+                self.A = self._ufunc.accumulate(self.C)
+                return self._out(self.A, 0)
             return np.array([evaluate(self.mean, x[: k + 1], w[: k + 1])
                              for k in range(self.n)])
 
@@ -159,21 +187,12 @@ class _PrefixEngine:
             if self.mode == "transform":
                 delta = w[j] * (float(self._phi(t)) - self.F[j])
                 mn_suf = np.asarray(self._psi((self.T[j:] + delta) / W[j:]), dtype=float)
-            elif self.mode == "logsum":
-                c_suf = self.logw[j:] + self.p * np.log(self.x[j:])
-                c_suf[0] = self.logw[j] + self.p * math.log(t)
-                carry = self.L[j - 1] if j > 0 else -np.inf
-                l_suf = np.logaddexp.accumulate(np.concatenate(([carry], c_suf)))[1:]
-                mn_suf = np.exp((l_suf - self.logW[j:]) / self.p)
-            elif self.mode in ("min", "max"):
-                x_suf = self.x[j:].copy()
-                x_suf[0] = t
-                if self.mode == "min":
-                    carry = self.M[j - 1] if j > 0 else np.inf
-                    mn_suf = np.minimum.accumulate(np.concatenate(([carry], x_suf)))[1:]
-                else:
-                    carry = self.M[j - 1] if j > 0 else -np.inf
-                    mn_suf = np.maximum.accumulate(np.concatenate(([carry], x_suf)))[1:]
+            elif self.mode == "accumulate":
+                buf = np.empty(self.n - j + 1)
+                buf[0] = self.A[j - 1] if j > 0 else self._carry
+                buf[1] = self._term(j, t)
+                buf[2:] = self.C[j + 1:]
+                mn_suf = self._out(self._ufunc.accumulate(buf)[1:], j)
             else:
                 x_new = self.x.copy()
                 x_new[j] = t
@@ -233,50 +252,49 @@ def _golden_max(f: Callable[[float], float], a: float, b: float,
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _ascend(mean: MeanSpec, w: np.ndarray, x0: np.ndarray,
-            cfg: OptimizerConfig) -> Tuple[float, np.ndarray, bool, int]:
+def _ascend(mean: MeanSpec, w: np.ndarray,
+            x0: np.ndarray) -> Tuple[float, np.ndarray, bool, int]:
     eng = _PrefixEngine(mean, w)
-    x = np.maximum(np.asarray(x0, dtype=float), cfg.floor)
+    x = np.maximum(np.asarray(x0, dtype=float), _FLOOR)
     eng.rebuild(x)
     if not math.isfinite(eng.value):
         return -math.inf, x, False, 0
     updates = 0
     converged = False
-    half = cfg.span_decades / 2.0
-    log_floor = math.log10(cfg.floor)
+    half = _SPAN_DECADES / 2.0
+    log_floor = math.log10(_FLOOR)
     for _ in range(_MAX_SWEEPS):
         before = eng.value
         for j in range(eng.n):
-            if updates >= cfg.max_updates:
+            if updates >= _MAX_UPDATES:
                 break
             u = math.log10(eng.x[j])
-            grid = np.linspace(u - half, u + half, cfg.scan_points)
+            grid = np.linspace(u - half, u + half, _SCAN_POINTS)
             grid = np.unique(np.maximum(grid, log_floor))
             vals = [eng.candidate(j, 10.0 ** g) for g in grid]
             k = int(np.argmax(vals))
             a = grid[max(k - 1, 0)]
             b = grid[min(k + 1, len(grid) - 1)]
             g_best, v_best = _golden_max(
-                lambda g: eng.candidate(j, 10.0 ** g), a, b, cfg.refine_iters)
+                lambda g: eng.candidate(j, 10.0 ** g), a, b, _REFINE_ITERS)
             if vals[k] > v_best:
                 g_best, v_best = grid[k], vals[k]
             if v_best > eng.value * (1.0 + 1e-14) and math.isfinite(v_best):
-                eng.x[j] = max(10.0 ** g_best, cfg.floor)
+                eng.x[j] = max(10.0 ** g_best, _FLOOR)
                 eng.rebuild(eng.x)
                 updates += 1
         if mean.flags.homogeneous and eng.D > 0 and math.isfinite(eng.D):
-            eng.rebuild(np.maximum(eng.x / eng.D, cfg.floor))
+            eng.rebuild(np.maximum(eng.x / eng.D, _FLOOR))
         after = eng.value
-        if updates >= cfg.max_updates:
+        if updates >= _MAX_UPDATES:
             break
-        if after - before <= cfg.rel_tol * max(1.0, abs(before)):
+        if after - before <= _REL_TOL * max(1.0, abs(before)):
             converged = True
             break
     return eng.value, eng.x.copy(), converged, updates
 
 
-def _structured_starts(w: np.ndarray, n_starts: int, seed: int,
-                       floor: float) -> list:
+def _structured_starts(w: np.ndarray, n_starts: int, seed: int) -> list:
     W = np.cumsum(w)
     starts = [
         np.full(len(w), 1.0 / W[-1]),
@@ -289,7 +307,7 @@ def _structured_starts(w: np.ndarray, n_starts: int, seed: int,
     out = []
     for s in starts:
         d = float(np.dot(w, s))
-        out.append(np.maximum(s / d if d > 0 else s, floor))
+        out.append(np.maximum(s / d if d > 0 else s, _FLOOR))
     return out
 
 
@@ -307,14 +325,14 @@ def maximize_hardy_ratio(mean: MeanSpec, w: Sequence[float],
         raise ValueError("need a nonempty 1-d weight prefix")
     if not np.all(np.isfinite(w_arr)) or not np.all(w_arr > 0):
         raise ValueError("weights must be positive and finite")
-    starts = _structured_starts(w_arr, config.starts, config.seed, config.floor)
+    starts = _structured_starts(w_arr, config.starts, config.seed)
     for ws in config.warm_starts:
         v = np.asarray(ws, dtype=float)
         if v.shape != w_arr.shape:
             raise ValueError("warm starts must match the weight prefix length")
-        starts.append(np.maximum(v, config.floor))
+        starts.append(np.maximum(v, _FLOOR))
 
-    outcomes = [_ascend(mean, w_arr, x0, config) for x0 in starts]
+    outcomes = [_ascend(mean, w_arr, x0) for x0 in starts]
 
     best = max(outcomes, key=lambda o: (o[0], tuple(-c for c in o[1])))
     value, witness, conv, _ = best

@@ -68,6 +68,17 @@ class TestEstimate:
         assert 1.0 < rep["value"] < 4.0
         assert len(rep["witness"]) == 24
 
+    @pytest.mark.parametrize("order", ["1/1000000000", "-1/1000000000",
+                                       "3/100000000"])
+    def test_finite_section_near_geometric_order(self, capsys, order):
+        # the spot check compares the search's prefix means with the kernel,
+        # so both must treat orders near 0 alike
+        code, out, _ = run(capsys, "estimate", "--method", "finite",
+                           "--mean", f"power:{order}", "--weights", "ones",
+                           "--N", "8", "--format", "json")
+        assert code == 0
+        assert 1.0 < json.loads(out)["report"]["value"] < math.e
+
     def test_geometric_probe(self, capsys):
         code, out, _ = run(capsys, "estimate", "--method", "geometric-probe",
                            "--weights", "dyadic", "--q", "1/10", "--N", "60",
@@ -182,7 +193,7 @@ class TestVerifySubcommands:
     def test_mu1_sweep_low_cap_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "mu1-sweep", "--mean",
                            "power:1/2", "--trials", "2", "--N", "16",
-                           "--cap", "1.0", "--starts", "3", "--format", "json")
+                           "--cap", "1", "--starts", "3", "--format", "json")
         assert code == 1
         assert json.loads(out)["report"]["outcome"] == "fail"
 
@@ -202,6 +213,18 @@ class TestExplore:
         assert code == 0
         rep = json.loads(out)["report"]
         assert len(rep["rows"]) == 2
+
+    def test_continuity_csv_carries_the_ones_row(self, capsys):
+        code, out, _ = run(capsys, "explore", "continuity", "--mean",
+                           "power:1/2", "--s-grid", "1/2,3/4", "--N", "16",
+                           "--starts", "3", "--format", "csv")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()]
+        assert rows[0] == ["s", "value", "gap_to_ones"]
+        assert [r[0] for r in rows[1:]] == ["1/2", "3/4", "ones"]
+        ones = float(rows[-1][1])
+        for _, value, gap in rows[1:]:
+            assert float(gap) == ones - float(value)
 
 
 class TestPlumbing:
@@ -262,11 +285,27 @@ class TestPlumbing:
         ("constant", "--copson", "1e400"),
         ("verify", "mu1-sweep", "--mean", "power:1/2", "--cap", "1e400",
          "--trials", "1", "--N", "4"),
+        # decimal literals need --float wherever a number is read
+        ("constant", "--copson", "0.5"),
+        ("verify", "mu1-sweep", "--mean", "power:1/2", "--cap", "4.5",
+         "--trials", "1", "--N", "4"),
+        ("explore", "continuity", "--mean", "power:1/2", "--s-grid", "0.5",
+         "--N", "4"),
+        # non-finite points
+        ("verify", "jcin", "--mean", "power:1", "--x", "inf,1", "--w", "1,1"),
+        ("verify", "jcin", "--float", "--mean", "power:1", "--x", "1e400,1",
+         "--w", "1,1"),
     ])
     def test_usage_errors_exit_two(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "usage" in err or "hardy:" in err
+
+    def test_float_flag_accepts_decimal_copson_order(self, capsys):
+        code, out, _ = run(capsys, "constant", "--float", "--copson", "0.5",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["report"]["value"] == pytest.approx(4.0, rel=1e-15)
 
     def test_argparse_rejects_unknown_method(self, capsys):
         with pytest.raises(SystemExit) as exc:

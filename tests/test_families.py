@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylab.kernel import MeanDomainError, MeanFlags, check_axioms, evaluate
-from hardylab.families import (builtin_generator, make_generator, parse_mean,
-                               power, power_mean, quasiarithmetic,
+from hardylab.families import (builtin_generator, make_generator, order_regime,
+                               parse_mean, power, power_mean, quasiarithmetic,
                                quasiarithmetic_mean)
 
 positive = st.floats(min_value=0.05, max_value=50, allow_nan=False)
@@ -47,6 +48,29 @@ class TestPowerMeanValues:
     def test_tiny_order_falls_back_to_geometric(self):
         g = power_mean(0.0, [1, 4], [1, 1])
         assert power_mean(1e-9, [1, 4], [1, 1]) == pytest.approx(g, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.01e-8, -1.01e-8, 3e-8, 1e-6, -5e-5, 9.9e-5])
+    def test_near_geometric_orders_keep_their_digits(self, p):
+        # u^p rounds to 1 +- a few ulps here, so raw or shifted powers lose
+        # about eps/|p| relative; a 40-digit Decimal evaluation is the oracle
+        rng = np.random.default_rng(7)
+        x, w = rng.lognormal(0.0, 3.0, 24), rng.lognormal(0.0, 1.0, 24)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            dp = Decimal(p)
+            total = sum(Decimal(wi) for wi in w)
+            s = sum(Decimal(wi) / total * (dp * Decimal(xi).ln()).exp()
+                    for xi, wi in zip(x, w))
+            oracle = float((s.ln() / dp).exp())
+        assert power_mean(p, x, w) == pytest.approx(oracle, rel=1e-14)
+
+    def test_order_regimes(self):
+        cases = {-math.inf: "min", -2e8: "min", -1e8: "log", -16.5: "log",
+                 -16.0: "raw", -1e-4: "raw", -9.9e-5: "near_geometric",
+                 -1e-8: "near_geometric", -9.9e-9: "geometric", 0.0: "geometric",
+                 1e-8: "near_geometric", 1e-4: "raw", 1.0: "raw", 16.0: "raw",
+                 16.5: "log", 1e8: "log", 2e8: "max", math.inf: "max"}
+        assert {p: order_regime(p) for p in cases} == cases
 
     def test_huge_order_falls_back_to_extreme(self):
         assert power_mean(1e9, [1, 4], [1, 1]) == 4.0

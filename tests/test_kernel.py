@@ -149,9 +149,10 @@ class TestCheckAxioms:
         assert rep.passed
         assert rep.outcomes["elimination"].skipped
 
-    @pytest.mark.parametrize("order, seed", [(3, 0), (2, 35), (-3, 0), (4, 0)])
+    @pytest.mark.parametrize("order, seed", [(3, 0), (2, 35), (-3, 0), (4, 0),
+                                             (8, 0), (-8, 0)])
     def test_elimination_holds_for_larger_orders(self, order, seed):
-        # the appended weight must be small enough that (z/x)^p cannot
+        # the appended weight must get small enough that (z/x)^p cannot
         # keep the perturbation above threshold at the probe
         rep = check_axioms(power(order), trials=200, seed=seed)
         assert rep.outcomes["elimination"].passed, rep.outcomes["elimination"]

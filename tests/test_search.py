@@ -7,8 +7,8 @@ import pytest
 from hardylab.families import (make_generator, parse_mean, power,
                                quasiarithmetic)
 from hardylab.kernel import MeanFlags, MeanSpec, evaluate
-from hardylab.search import (OptimizerConfig, _PrefixEngine, hardy_ratio,
-                             maximize_hardy_ratio, prefix_means)
+from hardylab.search import (_FLOOR, OptimizerConfig, _PrefixEngine,
+                             hardy_ratio, maximize_hardy_ratio, prefix_means)
 from hardylab.weights import make_sequence
 
 
@@ -22,7 +22,7 @@ def brute_ratio(mean, x, w):
 
 MEANS = [
     power(-2), power(0), power(Fraction(1, 2)), power(1), power(2),
-    power(17),  # beyond the raw-power limit, exercises the logsum path
+    power(17),  # beyond the raw-power limit, exercises the accumulate path
     power(math.inf), power(-math.inf),
     quasiarithmetic(make_generator("log", np.log, np.exp)),
     quasiarithmetic(make_generator("sqrt", np.sqrt, np.square)),
@@ -45,6 +45,30 @@ def test_prefix_means_match_direct_evaluation(mean):
     got = prefix_means(mean, x, w)
     want = [evaluate(mean, x[: n + 1], w[: n + 1]) for n in range(9)]
     assert got == pytest.approx(want, rel=1e-12)
+
+
+# both sides of every regime boundary of families.order_regime
+POLICY_ORDERS = [1e-9, -1e-9, 1.01e-8, -1.01e-8, 3e-8, -3e-8, 1e-4, 16.0, -16.0,
+                 16.5, -16.5, 1e7, -1e7, 2e8, -2e8, 1e9, -1e9, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("p", POLICY_ORDERS, ids=repr)
+def test_prefix_means_follow_the_kernel_order_policy(p):
+    # power_mean and the prefix engine share one order policy, so they agree
+    # on both sides of every cutoff, on inputs spread over many decades
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        x, w = rng.lognormal(0.0, 3.0, 24), rng.lognormal(0.0, 1.0, 24)
+        got = prefix_means(power(p), x, w)
+        want = [evaluate(power(p), x[: n + 1], w[: n + 1]) for n in range(24)]
+        assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("p", POLICY_ORDERS, ids=repr)
+def test_engine_modes(p):
+    eng = _PrefixEngine(power(p), np.ones(3))
+    want = "transform" if abs(p) <= 16 else "accumulate"
+    assert eng.mode == want
 
 
 def test_generic_engine_used_for_opaque_means():
@@ -87,10 +111,10 @@ def test_arithmetic_objective_saturates_to_harmonic_sum():
 
 
 def test_witness_respects_floor_and_value_is_reproducible():
-    cfg = OptimizerConfig(starts=4, seed=3, floor=1e-9)
+    cfg = OptimizerConfig(starts=4, seed=3)
     w = list(make_sequence("dyadic").terms_floats(16))
     res = maximize_hardy_ratio(power(0.5), w, cfg)
-    assert all(c >= 1e-9 for c in res.witness)
+    assert all(c >= _FLOOR for c in res.witness)
     assert hardy_ratio(power(0.5), res.witness, w, dense_check=True) == \
         pytest.approx(res.value, rel=1e-12)
     assert len(res.start_values) == 4
