@@ -3,8 +3,11 @@
 
 Runs the warm-started sweep over a doubling ladder of section sizes and
 prints one row per size, next to the closed-form cap when the mean has
-one. Useful for eyeballing how quickly the bounds saturate, and for
-choosing an N that is large enough before burning CPU on a long sweep.
+one. Power means also show upper section, the solver's certified bound
+on the supremum of that N-section ("-" for means the coordinate ascent
+solves), so each row brackets its section. Useful for eyeballing how
+quickly the bounds saturate, and for choosing an N that is large enough
+before burning CPU on a long sweep.
 
     python3 scripts/convergence_study.py --mean power:1/2 --weights dyadic
     python3 scripts/convergence_study.py --mean power:0 --weights ones --max-n 512
@@ -44,14 +47,16 @@ def main() -> int:
 
     cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
     print(f"# mean={mean.name} weights={args.weights} starts={args.starts}")
-    header = f"{'N':>8}  {'lower bound':>20}  {'gain':>12}"
+    header = f"{'N':>8}  {'lower bound':>20}  {'upper section':>20}  {'gain':>12}"
     if cap is not None and math.isfinite(cap):
         header += f"  {'cap - bound':>14}"
     print(header)
     prev = None
     for est in finite_lower_bound_sweep(mean, lam, sizes, cfg):
         gain = "" if prev is None else f"{est.value - prev:.3e}"
-        row = f"{est.N:>8}  {est.value:>20.15f}  {gain:>12}"
+        upper = est.diagnostics["upper_section"]
+        upper = "-" if upper is None else f"{upper:.15f}"
+        row = f"{est.N:>8}  {est.value:>20.15f}  {upper:>20}  {gain:>12}"
         if cap is not None and math.isfinite(cap):
             row += f"  {cap - est.value:>14.3e}"
         print(row)

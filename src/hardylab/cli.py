@@ -280,6 +280,11 @@ def _cmd_verify_mu1(args) -> Rendered:
                     _verdict_text(rep))
 
 
+def _search_fields(est) -> dict:
+    """The solver and certificate of a finite-section estimate."""
+    return {k: est.diagnostics[k] for k in ("solver", "iterations", "upper_section", "gap")}
+
+
 def _cmd_explore_continuity(args) -> Rendered:
     mean = parse_mean(args.mean)
     cfg_opt = OptimizerConfig(starts=args.starts, seed=args.seed)
@@ -289,12 +294,13 @@ def _cmd_explore_continuity(args) -> Rendered:
             raise ValueError("--s-grid entries must lie in (0, 1)")
         lam = make_sequence(f"geometric:{format_number(s)}")
         est = finite_lower_bound(mean, lam, args.N, cfg_opt)
-        rows_out.append({"s": format_number(s), "value": est.value})
+        rows_out.append({"s": format_number(s), "value": est.value, **_search_fields(est)})
     ones_est = finite_lower_bound(mean, make_sequence("ones"), args.N, cfg_opt)
     cap = copson_constant(float(mean.params)) if mean.family == "power" else None
     report = {
         "rows": rows_out,
         "ones_value": ones_est.value,
+        "ones_search": _search_fields(ones_est),
         "closed_form_cap": json_ready(cap),
         "note": "exploratory continuity sweep; no pass/fail semantics",
     }

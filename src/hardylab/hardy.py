@@ -215,8 +215,12 @@ def _estimate_from_search(mean: MeanSpec, lam: WeightSeq, N: int,
         value=res.value, lower=res.value if math.isfinite(res.value) else None,
         witness=res.witness,
         diagnostics={
+            "solver": res.solver,
             "converged": res.converged,
+            "iterations": res.iterations,
             "n_updates": res.n_updates,
+            "upper_section": res.upper_section,
+            "gap": res.gap,
             "start_values": list(res.start_values),
         })
 
@@ -280,9 +284,11 @@ def kedlaya_estimate(mean: MeanSpec, lam: WeightSeq, N: int, *,
     ratios (HypothesisViolation otherwise; unknown divergence also
     refuses, since the route's conclusion rests on it). For each y the
     steady value is the minimum of a_n over the trailing window, a
-    fraction in (0, 1] of the sequence; the headline is the best y. For
-    homogeneous means y cancels, so the whole grid collapses to one
-    value; the observed spread is reported either way.
+    fraction in (0, 1] of the sequence; the headline is the best y. When
+    the mean's flags claim homogeneity y cancels, so only y = 1 is
+    evaluated: per_y holds that one row, grid_spread is 0 and
+    grid_collapsed is true. Other means run the whole grid and report the
+    observed spread.
     """
     if N < 4:
         raise ValueError("need N >= 4")
@@ -302,6 +308,8 @@ def kedlaya_estimate(mean: MeanSpec, lam: WeightSeq, N: int, *,
         raise ValueError("y_grid must be nonempty")
     w = lam.terms_floats(N)
     W = np.cumsum(w)
+    if mean.flags.homogeneous:
+        y_grid = (1.0,)
     per_y = []
     best = None
     for y in (float(v) for v in y_grid):

@@ -2,17 +2,31 @@
 
 Maximizes R(x) = sum_n w_n M(x_1..x_n, w_1..w_n) / sum_n w_n x_n over
 positive vectors x of fixed length. Any feasible x makes R(x) a valid
-lower bound on the best constant, so the optimizer only has to find good
-points, never certify optimality.
+lower bound on the best constant.
 
-The inner loop is projected coordinate ascent: per coordinate a coarse
-log-grid scan followed by golden-section refinement, with incremental
-objective updates that touch only the suffix a coordinate change can
-affect. Known mean families get O(N-j) candidate evaluation through a
-running transform (power orders up to families.RAW_POWER_LIMIT and
-quasi-arithmetic means) or a running accumulation (min, max, and
-log-sum-exp for larger orders); anything else falls back to direct prefix
-evaluation, which is quadratic and only sensible for small N.
+The solver follows the mean's structure. For a power mean of order p,
+A(x) = sum_n w_n M_n(x) is 1-homogeneous, convex for p >= 1 and concave
+for p <= 1, and families.order_regime picks the route:
+
+- "vertex" (p >= 1 and max): a convex ratio peaks at a vertex e_k of the
+  simplex <w, x> = 1, and all N vertex ratios come in closed form in O(N).
+  The largest is the supremum of the section.
+- "fixed-point" (p < 1 and min): the multiplicative update
+  x_k <- x_k (g_k / R)^(1/(1-p)) with g_k = (dA/dx_k) / w_k, whose fixed
+  points are the maximizers (the nonlinear power method of Boyd, 1974).
+  Concavity and Euler's identity give A(y) <= grad A(x) . y, so max_k g_k
+  bounds the supremum at every iterate, and max_k g_k - R is the
+  Frank-Wolfe duality gap (Jaggi, 2013) the iteration stops on. For min
+  the value is 1 at the constant vector, which is also the bound.
+- "ascent" (every other mean): projected coordinate ascent, per coordinate
+  a coarse log-grid scan followed by golden-section refinement, with
+  incremental objective updates that touch only the suffix a coordinate
+  change can affect. Quasi-arithmetic means get O(N-j) candidates through
+  a running transform; anything else falls back to direct prefix
+  evaluation, which is quadratic and only sensible for small N.
+
+The two power routes report upper_section, a certified upper bound on the
+supremum of this N-section (not on the constant of the infinite sequence).
 """
 
 from __future__ import annotations
@@ -20,7 +34,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,8 +51,10 @@ _FLOOR = 1e-12
 _SCAN_POINTS = 13
 _SPAN_DECADES = 10.0
 _REFINE_ITERS = 24
-# a start stops after _MAX_UPDATES accepted coordinate moves, or once a full
-# sweep improves the objective by less than the fraction _REL_TOL
+# a start stops after _MAX_UPDATES accepted coordinate moves or fixed-point
+# updates; an ascent start stops once a full sweep improves the objective by
+# less than the fraction _REL_TOL, a fixed-point start once its certified gap
+# falls below that fraction of the value
 _MAX_UPDATES = 10_000
 _REL_TOL = 1e-10
 # hard cap on full coordinate sweeps per start, a backstop against cycling
@@ -50,9 +66,9 @@ class OptimizerConfig:
     """What a caller chooses about the finite-section search.
 
     starts counts built-in starting points (3 structured + the rest
-    random, seeded by seed); warm_starts are extra caller-supplied
-    vectors. The step schedule and stopping rules are the module
-    constants _FLOOR, _SCAN_POINTS, _SPAN_DECADES, _REFINE_ITERS,
+    random, seeded by seed), at least one; warm_starts are extra
+    caller-supplied vectors. The step schedule and stopping rules are the
+    module constants _FLOOR, _SCAN_POINTS, _SPAN_DECADES, _REFINE_ITERS,
     _MAX_UPDATES, _REL_TOL and _MAX_SWEEPS.
     """
 
@@ -60,14 +76,38 @@ class OptimizerConfig:
     seed: int = 0
     warm_starts: Tuple[Tuple[float, ...], ...] = ()
 
+    def __post_init__(self):
+        if self.starts < 1:
+            raise ValueError(f"need starts >= 1, got {self.starts!r}")
+
 
 @dataclass(frozen=True)
 class SearchResult:
+    """Outcome of one finite-section solve.
+
+    solver names the route ("vertex", "fixed-point" or "ascent").
+    n_updates counts accepted coordinate moves of the ascent and updates of
+    the fixed point; iterations counts the ascent's sweeps and the fixed
+    point's updates (0 for closed forms). upper_section is the certified
+    bound on the section's supremum, None for the ascent.
+    """
+
     value: float
     witness: Tuple[float, ...]
     converged: bool
     n_updates: int
     start_values: Tuple[float, ...]
+    solver: str
+    iterations: int
+    upper_section: Optional[float]
+
+    @property
+    def gap(self) -> Optional[float]:
+        """upper_section - value, floored at 0 against rounding; None
+        without a certificate."""
+        if self.upper_section is None:
+            return None
+        return max(self.upper_section - self.value, 0.0)
 
     def to_json(self) -> dict:
         return {
@@ -76,6 +116,10 @@ class SearchResult:
             "converged": self.converged,
             "n_updates": self.n_updates,
             "start_values": list(self.start_values),
+            "solver": self.solver,
+            "iterations": self.iterations,
+            "upper_section": self.upper_section,
+            "gap": self.gap,
         }
 
 
@@ -99,12 +143,14 @@ class _PrefixEngine:
     - "transform" (power orders up to RAW_POWER_LIMIT, quasi-arithmetic
       means): keeps F = phi(x) and T = cumsum(w * F); a candidate shifts
       the suffix of T by w[j] * (phi(t) - F[j]).
-    - "accumulate" (min, max, larger power orders in the log domain): keeps
-      per-entry terms C and their running accumulation A under one ufunc
-      (np.minimum, np.maximum or np.logaddexp); a candidate replaces one
-      term and re-accumulates the suffix from A[j-1]. An output map turns
-      A into the means.
+    - "accumulate" (min, max, larger power orders in the log domain):
+      accumulates per-entry terms under one ufunc (np.minimum, np.maximum
+      or np.logaddexp), and an output map turns the accumulation into the
+      means.
     - "generic": evaluates every prefix directly, quadratic in N.
+
+    Only the coordinate ascent calls candidate(), and only quasi-arithmetic
+    and opaque means reach it; outside "transform" it evaluates directly.
     """
 
     def __init__(self, mean: MeanSpec, w: np.ndarray):
@@ -117,16 +163,12 @@ class _PrefixEngine:
             p = float(mean.params)
             regime = order_regime(p)
             if regime in ("min", "max"):
-                ufunc, carry = ((np.minimum, np.inf) if regime == "min"
-                                else (np.maximum, -np.inf))
-                self._accumulate(ufunc, carry, lambda x: x, lambda j, t: t,
-                                 lambda a, j: a)
+                self._accumulate(np.minimum if regime == "min" else np.maximum,
+                                 lambda x: x, lambda a: a)
             elif regime == "log":
                 logw, logW = np.log(self.w), np.log(self.W)
-                self._accumulate(np.logaddexp, -np.inf,
-                                 lambda x: logw + p * np.log(x),
-                                 lambda j, t: logw[j] + p * math.log(t),
-                                 lambda a, j: np.exp((a - logW[j:]) / p))
+                self._accumulate(np.logaddexp, lambda x: logw + p * np.log(x),
+                                 lambda a: np.exp((a - logW) / p))
             elif regime == "geometric":
                 self._transform(np.log, np.exp)
             elif regime == "near_geometric":
@@ -143,21 +185,15 @@ class _PrefixEngine:
     def _transform(self, phi: Callable, psi: Callable) -> None:
         self.mode, self._phi, self._psi = "transform", phi, psi
 
-    def _accumulate(self, ufunc, carry: float, terms: Callable, term: Callable,
-                    out: Callable) -> None:
-        """terms(x) -> C for a whole vector, term(j, t) -> C[j] at x[j] = t,
-        out(A[j:], j) -> means of prefixes j+1..n; carry is the ufunc's
-        identity, the accumulation before the first entry."""
+    def _accumulate(self, ufunc, terms: Callable, out: Callable) -> None:
+        """terms(x) -> per-entry terms, out(A) -> the prefix means from
+        their running accumulation A under ufunc."""
         self.mode = "accumulate"
-        self._ufunc, self._carry = ufunc, carry
-        self._terms, self._term, self._out = terms, term, out
-
-    # state: per-prefix means of the current x plus the running quantity
-    # candidate() shifts (transform sums T, accumulations A)
+        self._ufunc, self._terms, self._out = ufunc, terms, out
 
     def means(self, x: np.ndarray) -> np.ndarray:
-        """Per-prefix means of x, keeping the running quantity candidate()
-        shifts."""
+        """Per-prefix means of x; in "transform" mode also keeps the running
+        sums candidate() shifts."""
         w, W = self.w, self.W
         with np.errstate(all="ignore"):
             if self.mode == "transform":
@@ -165,9 +201,7 @@ class _PrefixEngine:
                 self.T = np.cumsum(w * self.F)
                 return np.asarray(self._psi(self.T / W), dtype=float)
             if self.mode == "accumulate":
-                self.C = self._terms(x)
-                self.A = self._ufunc.accumulate(self.C)
-                return self._out(self.A, 0)
+                return self._out(self._ufunc.accumulate(self._terms(x)))
             return np.array([evaluate(self.mean, x[: k + 1], w[: k + 1])
                              for k in range(self.n)])
 
@@ -187,12 +221,6 @@ class _PrefixEngine:
             if self.mode == "transform":
                 delta = w[j] * (float(self._phi(t)) - self.F[j])
                 mn_suf = np.asarray(self._psi((self.T[j:] + delta) / W[j:]), dtype=float)
-            elif self.mode == "accumulate":
-                buf = np.empty(self.n - j + 1)
-                buf[0] = self.A[j - 1] if j > 0 else self._carry
-                buf[1] = self._term(j, t)
-                buf[2:] = self.C[j + 1:]
-                mn_suf = self._out(self._ufunc.accumulate(buf)[1:], j)
             else:
                 x_new = self.x.copy()
                 x_new[j] = t
@@ -235,6 +263,10 @@ def hardy_ratio(mean: MeanSpec, x: Sequence[float], w: Sequence[float], *,
     return eng.value
 
 
+# one start's outcome: (value, x, converged, updates, iterations)
+_Run = Tuple[float, np.ndarray, bool, int, int]
+
+
 def _golden_max(f: Callable[[float], float], a: float, b: float,
                 iters: int) -> Tuple[float, float]:
     c = b - _INVPHI * (b - a)
@@ -252,18 +284,18 @@ def _golden_max(f: Callable[[float], float], a: float, b: float,
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _ascend(mean: MeanSpec, w: np.ndarray,
-            x0: np.ndarray) -> Tuple[float, np.ndarray, bool, int]:
+def _ascend(mean: MeanSpec, w: np.ndarray, x0: np.ndarray) -> _Run:
     eng = _PrefixEngine(mean, w)
     x = np.maximum(np.asarray(x0, dtype=float), _FLOOR)
     eng.rebuild(x)
     if not math.isfinite(eng.value):
-        return -math.inf, x, False, 0
-    updates = 0
+        return -math.inf, x, False, 0, 0
+    updates = sweeps = 0
     converged = False
     half = _SPAN_DECADES / 2.0
     log_floor = math.log10(_FLOOR)
     for _ in range(_MAX_SWEEPS):
+        sweeps += 1
         before = eng.value
         for j in range(eng.n):
             if updates >= _MAX_UPDATES:
@@ -291,7 +323,85 @@ def _ascend(mean: MeanSpec, w: np.ndarray,
         if after - before <= _REL_TOL * max(1.0, abs(before)):
             converged = True
             break
-    return eng.value, eng.x.copy(), converged, updates
+    return eng.value, eng.x.copy(), converged, updates, sweeps
+
+
+def _vertices(eng: _PrefixEngine, inv: float) -> Tuple[np.ndarray, float]:
+    """The best vertex of a convex power section and its closed-form ratio.
+
+    With 1/p = inv (0 for max), R(e_k) = w_k^(inv-1) sum_{n>=k} w_n W_n^-inv
+    for every k at once. The other coordinates of the vertex sit at the
+    floor, and its own is max(W_N, 1) / w_k: then the floored ones carry
+    under _FLOOR of <w, x> and move the ratio by about that fraction.
+    """
+    w, W = eng.w, eng.W
+    with np.errstate(all="ignore"):
+        ratios = w ** (inv - 1.0) * np.cumsum((w * W ** -inv)[::-1])[::-1]
+    k = int(np.argmax(ratios))
+    x = np.full(eng.n, _FLOOR)
+    x[k] = max(W[-1], 1.0) / w[k]
+    return x, float(ratios[k])
+
+
+def _fixed_point(eng: _PrefixEngine, p: float, x0: np.ndarray) -> Tuple[_Run, float]:
+    """One start of the multiplicative fixed point for a concave order p < 1.
+
+    g_k = x_k^(p-1) sum_{n>=k} (w_n / W_n) M_n^(1-p) is summed in log space,
+    so no order overflows. Stops once the gap is at most _REL_TOL of the
+    best value, once an update returns one of the last two iterates (the
+    floored map cycles where only the floor keeps the gap open), or after
+    _MAX_UPDATES updates. Returns the best iterate with its update count,
+    and the smallest certified bound max_k g_k met along the way.
+    """
+    log_share = np.log(eng.w) - np.log(eng.W)
+    x = x_prev = x0
+    best_value, best_x = -math.inf, x0
+    upper = math.inf
+    updates = 0
+    with np.errstate(all="ignore"):
+        while True:
+            eng.rebuild(x)
+            value = eng.value
+            if not (value > 0 and math.isfinite(value)):
+                break
+            if value > best_value:
+                best_value, best_x = value, x
+            log_x = np.log(x)
+            tail = np.logaddexp.accumulate(
+                (log_share + (1.0 - p) * np.log(eng.mn))[::-1])[::-1]
+            log_g = (p - 1.0) * log_x + tail
+            upper = min(upper, float(np.exp(np.max(log_g))))
+            if upper - best_value <= _REL_TOL * best_value or updates >= _MAX_UPDATES:
+                break
+            step = log_x + (log_g - math.log(value)) / (1.0 - p)
+            x_next = np.exp(step - np.max(step))
+            x_next = np.maximum(x_next / np.dot(eng.w, x_next), _FLOOR)
+            if np.array_equal(x_next, x) or np.array_equal(x_next, x_prev):
+                break
+            x_prev, x = x, x_next
+            updates += 1
+    return (best_value, best_x, False, updates, updates), upper
+
+
+def _solve_power(eng: _PrefixEngine, p: float, regime: str,
+                 starts: List[np.ndarray]) -> Tuple[str, List[_Run], float]:
+    """Route a power mean by its order regime: (solver, runs, upper_section)."""
+    if regime == "min":
+        # sum_n w_n min(x_1..x_n) <= <w, x>, with equality at constant x
+        const = np.full(eng.n, 1.0 / eng.W[-1])
+        return "fixed-point", [(1.0, const, False, 0, 0) for _ in starts], 1.0
+    if regime == "max" or p >= 1.0:
+        vertex, upper = _vertices(eng, 0.0 if regime == "max" else 1.0 / p)
+        eng.rebuild(vertex)
+        peak = eng.value
+        runs = []
+        for x0 in starts:
+            eng.rebuild(x0)
+            best = (peak, vertex) if peak >= eng.value else (eng.value, x0)
+            runs.append((*best, False, 0, 0))
+        return "vertex", runs, upper
+    runs, uppers = zip(*(_fixed_point(eng, p, x0) for x0 in starts))
+    return "fixed-point", list(runs), min(uppers)
 
 
 def _structured_starts(w: np.ndarray, n_starts: int, seed: int) -> list:
@@ -300,7 +410,7 @@ def _structured_starts(w: np.ndarray, n_starts: int, seed: int) -> list:
         np.full(len(w), 1.0 / W[-1]),
         1.0 / W,
         np.array([0.5 ** (k + 1) / w[k] for k in range(len(w))]),
-    ][: max(n_starts, 1)]
+    ][:n_starts]
     for i in range(len(starts), n_starts):
         rng = random.Random(f"hardylab-search:{seed}:{i}")
         starts.append(np.array([math.exp(rng.gauss(0.0, 2.0)) for _ in w]))
@@ -313,12 +423,20 @@ def _structured_starts(w: np.ndarray, n_starts: int, seed: int) -> list:
 
 def maximize_hardy_ratio(mean: MeanSpec, w: Sequence[float],
                          config: OptimizerConfig = OptimizerConfig()) -> SearchResult:
-    """Multistart coordinate ascent on the Hardy ratio of a weight prefix.
+    """Best Hardy ratio over the section of weight prefix w.
+
+    Power means go to the solver their order's structure allows: closed-form
+    vertices for p >= 1 and max, the certified fixed point for p < 1 and
+    the closed form 1 for min, both reporting upper_section. Every other
+    mean runs multistart coordinate ascent. Every start and warm start is
+    run and keeps its best point, so no start's value is lost.
 
     Deterministic for a fixed config: starts are seeded by index, results
     are reduced by best value with lexicographically smallest witness as
     the tie-break. The returned value is recomputed fresh at the witness
-    rather than trusted from the incremental bookkeeping.
+    through hardy_ratio rather than trusted from the solver's bookkeeping
+    (for min it is the closed form 1). On the power routes converged means
+    a gap of at most _REL_TOL times the value.
     """
     w_arr = np.asarray(w, dtype=float)
     if w_arr.ndim != 1 or len(w_arr) == 0:
@@ -332,17 +450,28 @@ def maximize_hardy_ratio(mean: MeanSpec, w: Sequence[float],
             raise ValueError("warm starts must match the weight prefix length")
         starts.append(np.maximum(v, _FLOOR))
 
-    outcomes = [_ascend(mean, w_arr, x0) for x0 in starts]
+    upper: Optional[float] = None
+    regime = None
+    if mean.family == "power":
+        p = float(mean.params)
+        regime = order_regime(p)
+        solver, runs, upper = _solve_power(_PrefixEngine(mean, w_arr), p, regime, starts)
+    else:
+        solver, runs = "ascent", [_ascend(mean, w_arr, x0) for x0 in starts]
 
-    best = max(outcomes, key=lambda o: (o[0], tuple(-c for c in o[1])))
-    value, witness, conv, _ = best
-    total_updates = sum(o[3] for o in outcomes)
-    if math.isfinite(value):
+    value, witness, converged, _, _ = max(
+        runs, key=lambda r: (r[0], tuple(-c for c in r[1])))
+    if math.isfinite(value) and regime != "min":
         value = hardy_ratio(mean, witness, w_arr)
+    if upper is not None:
+        converged = max(upper - value, 0.0) <= _REL_TOL * value
     return SearchResult(
         value=value,
         witness=tuple(float(v) for v in witness),
-        converged=conv,
-        n_updates=total_updates,
-        start_values=tuple(o[0] for o in outcomes),
+        converged=converged,
+        n_updates=sum(r[3] for r in runs),
+        start_values=tuple(r[0] for r in runs),
+        solver=solver,
+        iterations=sum(r[4] for r in runs),
+        upper_section=upper,
     )

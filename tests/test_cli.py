@@ -213,6 +213,10 @@ class TestExplore:
         assert code == 0
         rep = json.loads(out)["report"]
         assert len(rep["rows"]) == 2
+        for search in rep["rows"] + [rep["ones_search"]]:
+            assert search["solver"] == "fixed-point"
+            assert search["gap"] >= 0 and search["iterations"] >= 0
+        assert rep["ones_value"] <= rep["ones_search"]["upper_section"]
 
     def test_continuity_csv_carries_the_ones_row(self, capsys):
         code, out, _ = run(capsys, "explore", "continuity", "--mean",
@@ -295,6 +299,11 @@ class TestPlumbing:
         ("verify", "jcin", "--mean", "power:1", "--x", "inf,1", "--w", "1,1"),
         ("verify", "jcin", "--float", "--mean", "power:1", "--x", "1e400,1",
          "--w", "1,1"),
+        # a search needs at least one start
+        ("estimate", "--method", "finite", "--mean", "power:1/2", "--N", "4",
+         "--starts", "0"),
+        ("estimate", "--method", "finite", "--mean", "power:1/2", "--N", "4",
+         "--starts", "-3"),
     ])
     def test_usage_errors_exit_two(self, capsys, argv):
         code, _, err = run(capsys, *argv)

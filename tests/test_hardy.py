@@ -165,7 +165,10 @@ class TestKedlaya:
         assert est.value == pytest.approx(math.e, rel=0.01)
         assert est.kind == "substitution"
         assert est.direction == "estimate"
-        assert est.diagnostics["grid_collapsed"]  # scale cancels for power means
+        # y cancels for a homogeneous mean, so one row stands for the grid
+        assert est.diagnostics["grid_collapsed"]
+        assert est.diagnostics["grid_spread"] == 0.0
+        assert [r["y"] for r in est.diagnostics["per_y"]] == [1.0]
         assert not est.diagnostics["divergent_trend"]
 
     def test_arithmetic_mean_is_flagged_divergent(self):

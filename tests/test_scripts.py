@@ -21,4 +21,6 @@ def test_convergence_study_bounds_grow_with_the_section():
     assert [int(r[0]) for r in rows] == [4, 8, 16]
     bounds = [float(r[1]) for r in rows]
     assert all(b >= a for a, b in zip(bounds, bounds[1:])), bounds
+    # each row's bound lies under the certified bound of its own section
+    assert all(float(r[1]) <= float(r[2]) for r in rows), rows
     assert bounds[-1] < 4.0  # the closed-form cap of power:1/2

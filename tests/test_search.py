@@ -1,11 +1,15 @@
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hardylab.families import (make_generator, parse_mean, power,
-                               quasiarithmetic)
+from hardylab.cli import main
+from hardylab.families import (_GENERATOR_ORDER, make_generator, parse_mean,
+                               power, quasiarithmetic)
 from hardylab.kernel import MeanFlags, MeanSpec, evaluate
 from hardylab.search import (_FLOOR, OptimizerConfig, _PrefixEngine,
                              hardy_ratio, maximize_hardy_ratio, prefix_means)
@@ -26,6 +30,24 @@ MEANS = [
     power(math.inf), power(-math.inf),
     quasiarithmetic(make_generator("log", np.log, np.exp)),
     quasiarithmetic(make_generator("sqrt", np.sqrt, np.square)),
+]
+
+
+def opaque_mean(fn, name):
+    """A mean with no recognized family: the engine evaluates it directly."""
+    return MeanSpec(family="custom", params=None, flags=MeanFlags(), fn=fn,
+                    name=name)
+
+
+OPAQUE_ARITH = opaque_mean(
+    lambda x, lam: sum(l * v for v, l in zip(x, lam)) / sum(lam), "opaque-arith")
+
+# the ascent now serves only quasi-arithmetic and opaque means; candidate()
+# stays exact for the power orders too, which outside the transform mode
+# (power:17, +-inf) it answers by direct evaluation
+CANDIDATE_MEANS = MEANS + [
+    quasiarithmetic(make_generator("cube", lambda t: t ** 3, np.cbrt)),
+    OPAQUE_ARITH,
 ]
 
 
@@ -73,16 +95,14 @@ def test_engine_modes(p):
 
 def test_generic_engine_used_for_opaque_means():
     # a mean with no recognized family falls back to per-prefix evaluation
-    opaque = MeanSpec(family="custom", params=None, flags=MeanFlags(),
-                      fn=lambda x, lam: sum(l * v for v, l in zip(x, lam)) / sum(lam),
-                      name="opaque-arith")
     w = [1.0, 2.0, 0.5, 1.5]
     x = [3.0, 1.0, 2.0, 0.25]
-    assert hardy_ratio(opaque, x, w, dense_check=True) == pytest.approx(
-        brute_ratio(opaque, x, w), rel=1e-12)
+    assert _PrefixEngine(OPAQUE_ARITH, w).mode == "generic"
+    assert hardy_ratio(OPAQUE_ARITH, x, w, dense_check=True) == pytest.approx(
+        brute_ratio(OPAQUE_ARITH, x, w), rel=1e-12)
 
 
-@pytest.mark.parametrize("mean", MEANS, ids=lambda m: m.name)
+@pytest.mark.parametrize("mean", CANDIDATE_MEANS, ids=lambda m: m.name)
 def test_incremental_candidate_matches_rebuild(mean):
     w = np.array(make_sequence("geometric:3/4").terms_floats(10))
     rng = np.random.default_rng(5)
@@ -155,7 +175,9 @@ def test_result_serializes():
                                OptimizerConfig(starts=3, seed=0))
     out = res.to_json()
     assert set(out) == {"value", "witness", "converged", "n_updates",
-                        "start_values"}
+                        "start_values", "solver", "iterations",
+                        "upper_section", "gap"}
+    assert out["solver"] == "vertex" and out["gap"] >= 0
     assert isinstance(out["witness"], list) and len(out["witness"]) == 2
 
 
@@ -175,3 +197,73 @@ def test_parse_mean_roundtrip_names():
     w = [0.5, 0.25]
     assert hardy_ratio(m, [1.0, 0.5], w) == pytest.approx(
         brute_ratio(m, [1.0, 0.5], w), rel=1e-12)
+
+
+def test_starts_below_one_refused():
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="starts"):
+            OptimizerConfig(starts=bad)
+
+
+@pytest.mark.parametrize("p", POLICY_ORDERS + [0.999, 1 - 1e-7], ids=repr)
+def test_cli_finite_section_in_every_order_regime(capsys, p):
+    order = repr(p) if math.isinf(p) else str(Fraction(p))
+    argv = ["estimate", "--method", "finite", "--mean", f"power:{order}",
+            "--weights", "ones", "--N", "12", "--starts", "2", "--format", "json"]
+    outs = []
+    for _ in range(2):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0 and "Traceback" not in captured.err, captured.err
+        outs.append(captured.out)
+    assert outs[0] == outs[1]
+    rep = json.loads(outs[0])["report"]
+    diag = rep["diagnostics"]
+    assert diag["solver"] == ("vertex" if p >= 1 else "fixed-point")
+    assert diag["gap"] >= 0
+    assert diag["converged"] == (diag["gap"] <= 1e-10 * rep["value"])
+    if p < -1e8:  # min: the closed form
+        assert rep["value"] == 1.0 and diag["upper_section"] == 1.0
+        assert diag["iterations"] == 0
+    assert rep["direction"] == "lower_bound" and "upper" not in rep
+
+
+PROPERTY_ORDERS = [-3.0, -1.0, 0.0, 1 / 3, 0.5, 0.9, 1.0, 1.5, 2.0, 3.0,
+                   math.inf, -math.inf]
+
+
+def equivalent_user_mean(p):
+    """The order-p power mean in a form the power routes do not recognize,
+    so that the coordinate ascent solves it."""
+    if math.isinf(p):
+        pick = max if p > 0 else min
+        return opaque_mean(lambda x, lam: pick(x), f"user-{pick.__name__}")
+    if p == 0:
+        gen = make_generator("user-log", np.log, np.exp)
+    else:
+        gen = make_generator(f"user-power:{p}", lambda t: np.power(t, p),
+                             lambda t: np.power(t, 1.0 / p))
+    assert gen.name not in _GENERATOR_ORDER
+    return quasiarithmetic(gen)
+
+
+@settings(max_examples=50, deadline=None)
+@given(p=st.sampled_from(PROPERTY_ORDERS),
+       w=st.lists(st.fractions(min_value=Fraction(1, 1000), max_value=1000,
+                               max_denominator=1000), min_size=1, max_size=32))
+def test_power_routes_bracket_the_section(p, w):
+    if math.isinf(p):
+        w = w[:8]  # min/max go through direct evaluation in the ascent
+    w = [float(v) for v in w]
+    res = maximize_hardy_ratio(power(p), w, OptimizerConfig(starts=2, seed=0))
+    start = hardy_ratio(power(p), 1.0 / np.cumsum(w), w)
+    assert start <= res.value * (1 + 1e-12)
+    assert res.value <= res.upper_section * (1 + 1e-12)
+    if p >= 1:  # the vertex route's bound is its best vertex ratio
+        vertices = [brute_ratio(power(p), [1.0 if n == k else 1e-300 for n in range(len(w))], w)
+                    for k in range(len(w))]
+        assert res.upper_section == pytest.approx(max(vertices), rel=1e-12)
+    ascent = maximize_hardy_ratio(equivalent_user_mean(p), w,
+                                  OptimizerConfig(starts=1, seed=0))
+    assert ascent.solver == "ascent" and ascent.upper_section is None
+    assert ascent.value <= res.upper_section * (1 + 1e-12)
