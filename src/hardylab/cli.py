@@ -14,7 +14,9 @@ domain were violated.
 
 Output is deterministic for a fixed argv and seed: JSON has sorted keys,
 a "schema" tag and no timestamps; rational values print as "p/q". Number
-literals on the command line parse exactly unless --float is given.
+literals on the command line parse exactly unless --float is given;
+--tol and --window are floats either way (a tolerance finite and >= 0),
+and --N, --trials and --starts whole numbers >= 1.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .scalars import Number, format_number, json_ready, parse_float, parse_number
+from .scalars import Number, format_number, is_exact, json_ready, parse_float, parse_number
 from .kernel import MeanDomainError, MeanSpec, check_axioms, step_profile
 from .families import parse_mean
 from .weights import WeightSeq, as_float, coarsen, make_sequence, ratio_diagnostics
@@ -39,6 +42,8 @@ from .checks import (jcin_sweep, lsc_example_table, mu1_sweep, verify_cut,
                      verify_decreasing, verify_jcin)
 
 SCHEMA = "hardy-lab/1"
+STARTS_HELP = ("starting points of the coordinate ascent (means other than power "
+               "means); a power mean solves each section once")
 
 
 @dataclass
@@ -77,6 +82,28 @@ def _parse_one(text: str, float_mode: bool, flag: str) -> Number:
     if len(values) != 1:
         raise ValueError(f"{flag} takes one number, got {text!r}")
     return values[0]
+
+
+def _parse_options(args) -> None:
+    """Turn the text of --N, --trials and --starts into whole numbers >= 1
+    and that of --tol and --window into floats (a tolerance finite and
+    >= 0), all through _parse_values."""
+    for name in ("N", "trials", "starts"):
+        text = getattr(args, name, None)
+        if text is None:
+            continue
+        value = _parse_one(text, False, f"--{name}")
+        if not (is_exact(value) and value == int(value) and value >= 1):
+            raise ValueError(f"--{name} takes a whole number >= 1, got {text!r}")
+        setattr(args, name, int(value))
+    for name in ("tol", "window"):
+        text = getattr(args, name, None)
+        if text is None:
+            continue
+        value = float(_parse_one(text, True, f"--{name}"))
+        if name == "tol" and not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"--tol must be finite and >= 0, got {text!r}")
+        setattr(args, name, value)
 
 
 def _weights_arg(desc: str, float_mode: bool) -> WeightSeq:
@@ -349,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--arithmetic", action="store_true",
                    help="arithmetic-mean constant of --weights")
     c.add_argument("--weights", default="dyadic", help="weight descriptor")
-    c.add_argument("--N", type=int, default=200, help="truncation length")
+    c.add_argument("--N", default="200", help="truncation length")
     c.add_argument("--certified", action="store_true",
                    help="also bound the tail, reporting a two-sided interval")
     _add_common(c)
@@ -367,11 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--method", required=True,
                    choices=("finite", "geometric-probe", "kedlaya",
                             "nonweighted-limit"))
-    e.add_argument("--N", type=int, default=256)
+    e.add_argument("--N", default="256")
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--starts", type=int, default=8)
+    e.add_argument("--starts", default="8", help=STARTS_HELP)
     e.add_argument("--q", default="1/2", help="probe ratio in (0,1)")
-    e.add_argument("--window", type=float, default=0.5,
+    e.add_argument("--window", default="0.5",
                    help="trailing window fraction for steady-state estimates")
     _add_common(e, fmt_default="json")
     e.set_defaults(handler=_cmd_estimate)
@@ -387,9 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "mean-value property, elimination of vanishing weights) "
                     "plus any flags the mean declares.")
     va.add_argument("--mean", required=True)
-    va.add_argument("--trials", type=int, default=200)
+    va.add_argument("--trials", default="200")
     va.add_argument("--seed", type=int, default=0)
-    va.add_argument("--tol", type=float, default=1e-9)
+    va.add_argument("--tol", default="1e-9")
     _add_common(va)
     va.set_defaults(handler=_cmd_verify_axioms)
 
@@ -403,9 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     vj.add_argument("--mean", required=True)
     vj.add_argument("--x", help="comma-separated values for a single instance")
     vj.add_argument("--w", help="comma-separated rational weights")
-    vj.add_argument("--trials", type=int, default=200)
+    vj.add_argument("--trials", default="200")
     vj.add_argument("--seed", type=int, default=0)
-    vj.add_argument("--tol", type=float, default=1e-10)
+    vj.add_argument("--tol", default="1e-10")
     _add_common(vj)
     vj.set_defaults(handler=_cmd_verify_jcin)
 
@@ -420,10 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--weights", required=True)
     vc.add_argument("--blocks", required=True,
                     help="uniform block size, or a comma list of leading sizes")
-    vc.add_argument("--N", type=int, help="number of coarse truncations to check")
-    vc.add_argument("--tol", type=float, default=1e-2)
+    vc.add_argument("--N", help="number of coarse truncations to check")
+    vc.add_argument("--tol", default="1e-2")
     vc.add_argument("--seed", type=int, default=0)
-    vc.add_argument("--starts", type=int, default=4)
+    vc.add_argument("--starts", default="4", help=STARTS_HELP)
     _add_common(vc)
     vc.set_defaults(handler=_cmd_verify_cut)
 
@@ -436,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     vd.add_argument("--x", required=True, help="step values")
     vd.add_argument("--w", required=True, help="step widths (weights)")
     vd.add_argument("--grid", required=True, help="comma-separated u values")
-    vd.add_argument("--tol", type=float, default=1e-9)
+    vd.add_argument("--tol", default="1e-9")
     _add_common(vd)
     vd.set_defaults(handler=_cmd_verify_decreasing)
 
@@ -448,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "converge to plain dyadic, the one-sided jump that lower "
                     "semicontinuity permits.")
     vl.add_argument("--kmax", type=int, default=25)
-    vl.add_argument("--N", type=int, default=200)
+    vl.add_argument("--N", default="200")
     _add_common(vl)
     vl.set_defaults(handler=_cmd_verify_lsc)
 
@@ -459,12 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "constant: every finite-section bound must stay below "
                     "the cap (closed form for power means) plus --tol.")
     vm.add_argument("--mean", required=True)
-    vm.add_argument("--trials", type=int, default=50)
-    vm.add_argument("--N", type=int, default=256)
+    vm.add_argument("--trials", default="50")
+    vm.add_argument("--N", default="256")
     vm.add_argument("--seed", type=int, default=0)
     vm.add_argument("--cap", help="override the closed-form cap")
-    vm.add_argument("--tol", type=float, default=1e-3)
-    vm.add_argument("--starts", type=int, default=4)
+    vm.add_argument("--tol", default="1e-3")
+    vm.add_argument("--starts", default="4", help=STARTS_HELP)
     _add_common(vm)
     vm.set_defaults(handler=_cmd_verify_mu1)
 
@@ -479,9 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "an open question, not a checked claim.")
     xc.add_argument("--mean", required=True)
     xc.add_argument("--s-grid", default="1/2,3/4,9/10", dest="s_grid")
-    xc.add_argument("--N", type=int, default=128)
+    xc.add_argument("--N", default="128")
     xc.add_argument("--seed", type=int, default=0)
-    xc.add_argument("--starts", type=int, default=4)
+    xc.add_argument("--starts", default="4", help=STARTS_HELP)
     _add_common(xc)
     xc.set_defaults(handler=_cmd_explore_continuity)
 
@@ -492,6 +519,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _parse_options(args)
         rendered = args.handler(args)
     except (HypothesisViolation, InconclusiveError, MeanDomainError) as exc:
         print(f"hardy: {exc}", file=sys.stderr)

@@ -299,14 +299,14 @@ def kedlaya_estimate(mean: MeanSpec, lam: WeightSeq, N: int, *,
         raise HypothesisViolation(
             f"{lam.descriptor}: weight sum {state}; the substitution route "
             "needs divergent weight sums")
-    rep = ratio_diagnostics(lam, N)
+    w = lam.terms_floats(N)
+    rep = ratio_diagnostics(lam, N, floats=w)
     if not rep.is_nonincreasing:
         raise HypothesisViolation(
             f"{lam.descriptor}: term/partial-sum ratios are not nonincreasing "
             f"over the first {N} terms")
     if not y_grid:
         raise ValueError("y_grid must be nonempty")
-    w = lam.terms_floats(N)
     W = np.cumsum(w)
     if mean.flags.homogeneous:
         y_grid = (1.0,)

@@ -10,18 +10,24 @@ for p <= 1, and families.order_regime picks the route:
 
 - "vertex" (p >= 1 and max): a convex ratio peaks at a vertex e_k of the
   simplex <w, x> = 1, and all N vertex ratios come in closed form in O(N).
-  The largest is the supremum of the section.
-- "fixed-point" (p < 1 and min): the multiplicative update
-  x_k <- x_k (g_k / R)^(1/(1-p)) with g_k = (dA/dx_k) / w_k, whose fixed
-  points are the maximizers (the nonlinear power method of Boyd, 1974).
-  Concavity and Euler's identity give A(y) <= grad A(x) . y, so max_k g_k
-  bounds the supremum at every iterate, and max_k g_k - R is the
-  Frank-Wolfe duality gap (Jaggi, 2013) the iteration stops on. For min
+  The largest is the supremum of the section; no start is evaluated.
+- "fixed-point" (p < 1 and min): one iteration from 1/W_n, or from a warm
+  start with a higher ratio. Each update tries a safeguarded Newton step
+  of the concave program max log A(x) - <w, x> (whose maximizers, scaled
+  to <w, x> = 1, are the ratio's), solved in O(N) through the nested
+  prefix softmaxes (_PowerSection.newton), and otherwise takes the
+  multiplicative update x_k <- x_k (g_k / R)^(1/(1-p)) with
+  g_k = (dA/dx_k) / w_k, whose fixed points are the maximizers (the
+  nonlinear power method of Boyd, 1974). Concavity and Euler's identity
+  give A(y) <= grad A(x) . y, so max_k g_k bounds the supremum at every
+  iterate, and max_k g_k - R is the Frank-Wolfe duality gap (Jaggi, 2013)
+  the iteration stops on. A concave-over-linear ratio has no local
+  maximum that is not global, so more starts would buy nothing. For min
   the value is 1 at the constant vector, which is also the bound.
-- "ascent" (every other mean): projected coordinate ascent, per coordinate
-  a coarse log-grid scan followed by golden-section refinement, with
-  incremental objective updates that touch only the suffix a coordinate
-  change can affect. Quasi-arithmetic means get O(N-j) candidates through
+- "ascent" (every other mean): multistart projected coordinate ascent,
+  per coordinate a coarse log-grid scan followed by golden-section
+  refinement, with incremental objective updates that touch only the
+  suffix a coordinate change can affect. Quasi-arithmetic means get O(N-j) candidates through
   a running transform; anything else falls back to direct prefix
   evaluation, which is quadratic and only sensible for small N.
 
@@ -43,7 +49,8 @@ from .kernel import MeanSpec, evaluate
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# positivity floor for coordinates
+# positivity floor for the ascent's coordinates, the starts and the
+# vertex's other coordinates
 _FLOOR = 1e-12
 # per coordinate: a scan of _SCAN_POINTS log-spaced values over
 # _SPAN_DECADES decades around the current one, then _REFINE_ITERS
@@ -57,6 +64,21 @@ _REFINE_ITERS = 24
 # falls below that fraction of the value
 _MAX_UPDATES = 10_000
 _REL_TOL = 1e-10
+# a fixed-point start also stops after _PATIENCE updates in a row that
+# neither raise its best value nor lower its bound
+_PATIENCE = 20
+# the fixed point's log coordinates, relative to the largest, stay above
+# _LOG_FLOOR (2 * _LOG_FLOOR / -p for raw orders p < -1), so that x**p
+# stays finite; some sections peak with coordinates far below _FLOOR
+_LOG_FLOOR = -600.0
+# a Newton step of the fixed point moves a coordinate against the earlier
+# ones by at most _MAX_LOG_STEP in log, and at most _TIE_LOGITS logits past
+# its tie with them; its length is halved up to _HALVINGS times until the
+# ratio rises, or stays within the fraction _TIE and the bound falls
+_MAX_LOG_STEP = 8.0
+_TIE_LOGITS = 2.0
+_HALVINGS = 30
+_TIE = 1e-12
 # hard cap on full coordinate sweeps per start, a backstop against cycling
 _MAX_SWEEPS = 60
 
@@ -65,11 +87,12 @@ _MAX_SWEEPS = 60
 class OptimizerConfig:
     """What a caller chooses about the finite-section search.
 
-    starts counts built-in starting points (3 structured + the rest
-    random, seeded by seed), at least one; warm_starts are extra
-    caller-supplied vectors. The step schedule and stopping rules are the
-    module constants _FLOOR, _SCAN_POINTS, _SPAN_DECADES, _REFINE_ITERS,
-    _MAX_UPDATES, _REL_TOL and _MAX_SWEEPS.
+    starts counts the coordinate ascent's built-in starting points (3
+    structured + the rest random, seeded by seed), at least one; the power
+    routes ignore starts and seed. warm_starts are extra caller-supplied
+    vectors: the ascent runs each of them, and the fixed point starts from
+    the best of them and 1/W_n. The step schedule and stopping rules are
+    module constants.
     """
 
     starts: int = 8
@@ -343,65 +366,161 @@ def _vertices(eng: _PrefixEngine, inv: float) -> Tuple[np.ndarray, float]:
     return x, float(ratios[k])
 
 
-def _fixed_point(eng: _PrefixEngine, p: float, x0: np.ndarray) -> Tuple[_Run, float]:
-    """One start of the multiplicative fixed point for a concave order p < 1.
+class _PowerSection:
+    """The ratio of a concave power order p < 1 in log coordinates u = log x.
 
-    g_k = x_k^(p-1) sum_{n>=k} (w_n / W_n) M_n^(1-p) is summed in log space,
-    so no order overflows. Stops once the gap is at most _REL_TOL of the
-    best value, once an update returns one of the last two iterates (the
-    floored map cycles where only the floor keeps the gap open), or after
-    _MAX_UPDATES updates. Returns the best iterate with its update count,
-    and the smallest certified bound max_k g_k met along the way.
+    at(u) evaluates the ratio, the running log-sums lam_n = log sum_{k<=n}
+    w_k x_k^p and log g, where g_k = (dA/dx_k) / w_k. Orders p <= -1 read
+    the prefix means off lam, because x = exp(u) would round away the
+    digits of p * u at large |p|; milder orders go through the prefix
+    engine.
     """
-    log_share = np.log(eng.w) - np.log(eng.W)
-    x = x_prev = x0
-    best_value, best_x = -math.inf, x0
-    upper = math.inf
-    updates = 0
-    with np.errstate(all="ignore"):
-        while True:
-            eng.rebuild(x)
-            value = eng.value
-            if not (value > 0 and math.isfinite(value)):
-                break
-            if value > best_value:
-                best_value, best_x = value, x
-            log_x = np.log(x)
-            tail = np.logaddexp.accumulate(
-                (log_share + (1.0 - p) * np.log(eng.mn))[::-1])[::-1]
-            log_g = (p - 1.0) * log_x + tail
-            upper = min(upper, float(np.exp(np.max(log_g))))
-            if upper - best_value <= _REL_TOL * best_value or updates >= _MAX_UPDATES:
-                break
-            step = log_x + (log_g - math.log(value)) / (1.0 - p)
-            x_next = np.exp(step - np.max(step))
-            x_next = np.maximum(x_next / np.dot(eng.w, x_next), _FLOOR)
-            if np.array_equal(x_next, x) or np.array_equal(x_next, x_prev):
-                break
-            x_prev, x = x, x_next
-            updates += 1
-    return (best_value, best_x, False, updates, updates), upper
+
+    def __init__(self, eng: _PrefixEngine, p: float):
+        self.eng, self.p = eng, p
+        self.log_w = np.log(eng.w)
+        self.log_W = np.log(eng.W)
+        # the prefix engine raises x to the power p itself in the raw
+        # regime, and the witness goes through it (centred, see
+        # _fixed_point)
+        raw = p < -1.0 and order_regime(p) == "raw"
+        self.floor = 2.0 * _LOG_FLOOR / -p if raw else _LOG_FLOOR
+
+    def normalized(self, u: np.ndarray) -> np.ndarray:
+        """u shifted to max 0, which the ratio ignores and which keeps the
+        digits of p * u, and floored."""
+        return np.maximum(u - np.max(u), self.floor)
+
+    def at(self, u: np.ndarray) -> dict:
+        eng, p = self.eng, self.p
+        with np.errstate(all="ignore"):
+            ell = self.log_w + p * u
+            lam = np.logaddexp.accumulate(ell)
+            log_m = (lam - self.log_W) / p if p <= -1.0 else np.log(eng.means(np.exp(u)))
+            A = float(np.dot(eng.w, np.exp(log_m)))
+            D = float(np.dot(eng.w, np.exp(u)))
+            log_g = (p - 1.0) * u + np.logaddexp.accumulate(
+                (self.log_w - self.log_W + (1.0 - p) * log_m)[::-1])[::-1]
+        value = A / D if math.isfinite(A) and D > 0 else -math.inf
+        return {"u": u, "value": value, "A": A, "D": D, "ell": ell, "lam": lam,
+                "log_g": log_g, "bound": float(np.exp(np.max(log_g)))}
+
+    def newton(self, s: dict) -> Tuple[np.ndarray, np.ndarray]:
+        """Newton step of max log A(x) - <w, x> in u, up to a common shift,
+        and the gradient gamma - eta of log(ratio) in u.
+
+        That program is concave for p < 1, and rescaled to <w, x> = 1 its
+        maximizers are the ratio's. In the relative step dx / x its negative
+        Hessian is (1 - p)[diag(gamma) - sum_n c_n pi_n pi_n^T] + gamma
+        gamma^T, with pi_n the prefix softmax of log w_k + p u_k, c_n =
+        w_n M_n / A and gamma = sum_n c_n pi_n. Splitting each softmax off
+        its predecessor (pi_n = (1 - q_n) pi_{n-1} + q_n e_n) turns the
+        bracket into sum_m kappa_m v_m v_m^T with v_m = e_m - pi_{m-1} and
+        kappa_m = (1 - q_m) gamma_m. The unit-triangular V = [v_m] and its
+        transpose invert by one cumulative sum each, so the step costs
+        O(N), is an ascent direction and builds no N x N matrix. The gamma
+        gamma^T term and v_1 = e_1 only shift every u_k alike, which the
+        ratio ignores, so they drop out.
+
+        In the coordinates z_m = v_m . du the model is diagonal: z_m moves
+        u_m against the softmax average of the earlier coordinates. The
+        Newton value y / (1 - p) of each z_m becomes -log(1 - y) / (1 - p),
+        which agrees to second order and is exact for a coordinate that
+        the others do not feel (it is then the fixed-point step), and is
+        clipped to _MAX_LOG_STEP and to _TIE_LOGITS / |p| past the point
+        where coordinate m ties with that average: past the tie the model
+        no longer holds, and before it the ratio can be flat to rounding.
+        """
+        p, w = self.p, self.eng.w
+        u, ell, lam = s["u"], s["ell"], s["lam"]
+        with np.errstate(all="ignore"):
+            q = np.exp(ell - lam)
+            gamma = np.exp(self.log_w + u + s["log_g"] - math.log(s["A"]))
+            b = gamma - w * np.exp(u) / s["D"]
+            later = (np.cumsum(b[::-1])[::-1] - b)[1:]
+            y = (b[1:] + q[1:] * later) / (gamma[1:] * np.exp(lam[:-1] - lam[1:]))
+            reach = np.minimum((np.abs(ell[1:] - lam[:-1]) + _TIE_LOGITS) / abs(p),
+                               _MAX_LOG_STEP)
+            z = np.zeros_like(u)
+            z[1:] = np.clip(-np.log1p(-np.minimum(y, 1.0)) / (1.0 - p), -reach, reach)
+            z[1:] += np.cumsum(q[:-1] * z[:-1])
+        return z, b
+
+
+def _fixed_point(eng: _PrefixEngine, p: float, x0: np.ndarray) -> Tuple[_Run, float]:
+    """The certified solve of a concave order p < 1 from the start x0.
+
+    Each update first tries the Newton step of _PowerSection.newton,
+    halving its length up to _HALVINGS times until the ratio rises, or
+    until it stays within _TIE of the ratio and lowers the bound (the
+    ratio stops resolving progress long before the gap closes). Otherwise
+    it takes the multiplicative fixed point u_k <- u_k + log(g_k / R) /
+    (1 - p). The smallest max_k g_k met along the way is the certified
+    bound. Stops once the gap is at most _REL_TOL of the best value, after
+    _PATIENCE updates in a row that neither raise the best value nor lower
+    the bound, or after _MAX_UPDATES updates. Returns the best iterate,
+    centred in log so that x**p stays finite in the prefix engine (x0
+    itself if that scores higher), its update count and the bound.
+    """
+    sec = _PowerSection(eng, p)
+    s = sec.at(sec.normalized(np.log(x0)))
+    best, upper = s, math.inf
+    updates = idle = 0
+    while math.isfinite(s["value"]) and s["value"] > 0:
+        idle = 0 if s["value"] > best["value"] or s["bound"] < upper else idle + 1
+        if s["value"] > best["value"]:
+            best = s
+        upper = min(upper, s["bound"])
+        if (upper - best["value"] <= _REL_TOL * best["value"] or idle >= _PATIENCE
+                or updates >= _MAX_UPDATES):
+            break
+        step, grad = sec.newton(s)
+        nxt = None
+        if np.all(np.isfinite(step)) and float(np.dot(grad, step)) > 0:
+            t = 1.0
+            for _ in range(_HALVINGS):
+                trial = sec.at(sec.normalized(s["u"] + t * step))
+                if trial["value"] > s["value"] or (
+                        trial["value"] >= s["value"] * (1.0 - _TIE)
+                        and trial["bound"] < s["bound"]):
+                    nxt = trial
+                    break
+                t *= 0.5
+        if nxt is None:
+            nxt = sec.at(sec.normalized(
+                s["u"] + (s["log_g"] - math.log(s["value"])) / (1.0 - p)))
+        s = nxt
+        updates += 1
+    x = np.exp(best["u"] - np.min(best["u"]) / 2.0)
+    eng.rebuild(x)
+    value = eng.value
+    eng.rebuild(x0)
+    if eng.value >= value:
+        x, value = x0, eng.value
+    return (value, x, False, updates, updates), upper
 
 
 def _solve_power(eng: _PrefixEngine, p: float, regime: str,
-                 starts: List[np.ndarray]) -> Tuple[str, List[_Run], float]:
-    """Route a power mean by its order regime: (solver, runs, upper_section)."""
+                 starts: List[np.ndarray]) -> Tuple[str, _Run, float]:
+    """Route a power mean by its order regime: (solver, run, upper_section).
+
+    The closed forms need no start. The fixed point runs once, from the
+    start with the highest ratio (the first on ties).
+    """
     if regime == "min":
         # sum_n w_n min(x_1..x_n) <= <w, x>, with equality at constant x
-        const = np.full(eng.n, 1.0 / eng.W[-1])
-        return "fixed-point", [(1.0, const, False, 0, 0) for _ in starts], 1.0
+        return "fixed-point", (1.0, np.full(eng.n, 1.0 / eng.W[-1]), False, 0, 0), 1.0
     if regime == "max" or p >= 1.0:
         vertex, upper = _vertices(eng, 0.0 if regime == "max" else 1.0 / p)
         eng.rebuild(vertex)
-        peak = eng.value
-        runs = []
-        for x0 in starts:
-            eng.rebuild(x0)
-            best = (peak, vertex) if peak >= eng.value else (eng.value, x0)
-            runs.append((*best, False, 0, 0))
-        return "vertex", runs, upper
-    runs, uppers = zip(*(_fixed_point(eng, p, x0) for x0 in starts))
-    return "fixed-point", list(runs), min(uppers)
+        return "vertex", (eng.value, vertex, False, 0, 0), upper
+
+    def ratio(x0: np.ndarray) -> float:
+        eng.rebuild(x0)
+        return eng.value
+
+    run, upper = _fixed_point(eng, p, max(starts, key=ratio))
+    return "fixed-point", run, upper
 
 
 def _structured_starts(w: np.ndarray, n_starts: int, seed: int) -> list:
@@ -425,38 +544,47 @@ def maximize_hardy_ratio(mean: MeanSpec, w: Sequence[float],
                          config: OptimizerConfig = OptimizerConfig()) -> SearchResult:
     """Best Hardy ratio over the section of weight prefix w.
 
-    Power means go to the solver their order's structure allows: closed-form
-    vertices for p >= 1 and max, the certified fixed point for p < 1 and
-    the closed form 1 for min, both reporting upper_section. Every other
-    mean runs multistart coordinate ascent. Every start and warm start is
-    run and keeps its best point, so no start's value is lost.
+    Power means go to the solver their order's structure allows: the
+    closed-form vertex for p >= 1 and max, the certified fixed point with
+    its safeguarded Newton step for p < 1 and the closed form 1 for min,
+    all reporting upper_section. Each solves the section once, so
+    start_values holds one entry, and its value is no worse than the ratio
+    at 1/W_n or at any warm start. Every other mean runs multistart
+    coordinate ascent: every start and warm start is run and keeps its
+    best point, so no start's value is lost.
 
-    Deterministic for a fixed config: starts are seeded by index, results
-    are reduced by best value with lexicographically smallest witness as
-    the tie-break. The returned value is recomputed fresh at the witness
-    through hardy_ratio rather than trusted from the solver's bookkeeping
-    (for min it is the closed form 1). On the power routes converged means
-    a gap of at most _REL_TOL times the value.
+    Deterministic for a fixed config: the ascent's starts are seeded by
+    index, and its results are reduced by best value with
+    lexicographically smallest witness as the tie-break. The returned
+    value is recomputed fresh at the witness through hardy_ratio rather
+    than trusted from the solver's bookkeeping (for min it is the closed
+    form 1). On the power routes converged means a gap of at most
+    _REL_TOL times the value.
     """
     w_arr = np.asarray(w, dtype=float)
     if w_arr.ndim != 1 or len(w_arr) == 0:
         raise ValueError("need a nonempty 1-d weight prefix")
     if not np.all(np.isfinite(w_arr)) or not np.all(w_arr > 0):
         raise ValueError("weights must be positive and finite")
-    starts = _structured_starts(w_arr, config.starts, config.seed)
+    warm = []
     for ws in config.warm_starts:
         v = np.asarray(ws, dtype=float)
         if v.shape != w_arr.shape:
             raise ValueError("warm starts must match the weight prefix length")
-        starts.append(np.maximum(v, _FLOOR))
+        warm.append(np.maximum(v, _FLOOR))
 
     upper: Optional[float] = None
     regime = None
     if mean.family == "power":
         p = float(mean.params)
         regime = order_regime(p)
-        solver, runs, upper = _solve_power(_PrefixEngine(mean, w_arr), p, regime, starts)
+        start = 1.0 / np.cumsum(w_arr)
+        start = np.maximum(start / np.dot(w_arr, start), _FLOOR)
+        solver, run, upper = _solve_power(_PrefixEngine(mean, w_arr), p, regime,
+                                          [start] + warm)
+        runs = [run]
     else:
+        starts = _structured_starts(w_arr, config.starts, config.seed) + warm
         solver, runs = "ascent", [_ascend(mean, w_arr, x0) for x0 in starts]
 
     value, witness, converged, _, _ = max(

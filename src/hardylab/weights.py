@@ -298,7 +298,8 @@ class RatioReport:
         return out
 
 
-def ratio_diagnostics(w: WeightSeq, N: int) -> RatioReport:
+def ratio_diagnostics(w: WeightSeq, N: int, *,
+                      floats: Optional[np.ndarray] = None) -> RatioReport:
     """Ratios term(n)/partial_sum(n) for n <= N, their monotonicity, the
     max-term ratio max(term_1..term_N)/partial_sum(N), and a divergence
     verdict.
@@ -306,7 +307,8 @@ def ratio_diagnostics(w: WeightSeq, N: int) -> RatioReport:
     The verdict comes from closed-form knowledge carried by the sequence;
     a finite prefix cannot decide divergence, so sequences without that
     knowledge report "inconclusive". Ratios always sit in (0, 1] and the
-    first one equals 1.
+    first one equals 1. floats, when given, is w.terms_floats(N), which
+    the float path then does not build again.
     """
     if N < 1:
         raise ValueError("need N >= 1")
@@ -319,11 +321,11 @@ def ratio_diagnostics(w: WeightSeq, N: int) -> RatioReport:
         max_ratio = float(Fraction(max(terms)) / Fraction(psums[-1]))
         psum_n = psums[-1]
     else:
-        arr = w.terms_floats(N)
+        arr = w.terms_floats(N) if floats is None else floats
         sums = np.cumsum(arr)
         rarr = arr / sums
         noninc = bool(np.all(rarr[:-1] >= rarr[1:]))
-        ratios = tuple(float(v) for v in rarr)
+        ratios = tuple(rarr.tolist())
         max_ratio = float(arr.max() / sums[-1])
         psum_n = float(sums[-1])
     verdict = {True: "diverges", False: "converges", None: "inconclusive"}[w.sum_diverges]

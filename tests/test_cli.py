@@ -304,6 +304,22 @@ class TestPlumbing:
          "--starts", "0"),
         ("estimate", "--method", "finite", "--mean", "power:1/2", "--N", "4",
          "--starts", "-3"),
+        # tolerances must be finite and >= 0, counts whole numbers >= 1
+        ("verify", "mu1-sweep", "--mean", "power:1/2", "--trials", "1", "--N", "4",
+         "--tol", "nan"),
+        ("verify", "jcin", "--mean", "power:1/2", "--x", "3,1", "--w", "1,1",
+         "--tol", "nan"),
+        ("verify", "cut", "--mean", "power:1/2", "--weights", "ones", "--blocks", "2",
+         "--N", "3", "--tol", "-1"),
+        ("verify", "decreasing", "--mean", "arithmetic", "--x", "4,2,1", "--w", "1,1,1",
+         "--grid", "1,2,3", "--tol", "inf"),
+        ("verify", "axioms", "--mean", "power:1/2", "--trials", "0"),
+        ("verify", "mu1-sweep", "--mean", "power:1/2", "--trials", "1/2", "--N", "4"),
+        ("estimate", "--method", "finite", "--mean", "power:1/2", "--N", "nan"),
+        ("estimate", "--method", "finite", "--mean", "power:1/2", "--N", "4",
+         "--starts", "1.5"),
+        ("estimate", "--method", "kedlaya", "--mean", "power:0", "--weights", "ones",
+         "--N", "100", "--window", "nan"),
     ])
     def test_usage_errors_exit_two(self, capsys, argv):
         code, _, err = run(capsys, *argv)

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hardylab.cli import main
 from hardylab.families import (_GENERATOR_ORDER, make_generator, parse_mean,
                                power, quasiarithmetic)
 from hardylab.kernel import MeanFlags, MeanSpec, evaluate
-from hardylab.search import (_FLOOR, OptimizerConfig, _PrefixEngine,
+from hardylab.search import (_FLOOR, _MAX_UPDATES, OptimizerConfig, _PrefixEngine,
                              hardy_ratio, maximize_hardy_ratio, prefix_means)
 from hardylab.weights import make_sequence
 
@@ -42,13 +43,12 @@ def opaque_mean(fn, name):
 OPAQUE_ARITH = opaque_mean(
     lambda x, lam: sum(l * v for v, l in zip(x, lam)) / sum(lam), "opaque-arith")
 
+CUBE = quasiarithmetic(make_generator("cube", lambda t: t ** 3, np.cbrt))
+
 # the ascent now serves only quasi-arithmetic and opaque means; candidate()
 # stays exact for the power orders too, which outside the transform mode
 # (power:17, +-inf) it answers by direct evaluation
-CANDIDATE_MEANS = MEANS + [
-    quasiarithmetic(make_generator("cube", lambda t: t ** 3, np.cbrt)),
-    OPAQUE_ARITH,
-]
+CANDIDATE_MEANS = MEANS + [CUBE, OPAQUE_ARITH]
 
 
 @pytest.mark.parametrize("mean", MEANS, ids=lambda m: m.name)
@@ -130,14 +130,27 @@ def test_arithmetic_objective_saturates_to_harmonic_sum():
     assert res.converged
 
 
+def start_ratio(mean, w):
+    """Hardy ratio at the fixed point's own start x_n = 1/W_n."""
+    return hardy_ratio(mean, 1.0 / np.cumsum(w), w)
+
+
 def test_witness_respects_floor_and_value_is_reproducible():
     cfg = OptimizerConfig(starts=4, seed=3)
     w = list(make_sequence("dyadic").terms_floats(16))
-    res = maximize_hardy_ratio(power(0.5), w, cfg)
+    # the ascent runs every start and keeps its coordinates on the floor
+    res = maximize_hardy_ratio(CUBE, w, cfg)
     assert all(c >= _FLOOR for c in res.witness)
-    assert hardy_ratio(power(0.5), res.witness, w, dense_check=True) == \
+    assert hardy_ratio(CUBE, res.witness, w, dense_check=True) == \
         pytest.approx(res.value, rel=1e-12)
     assert len(res.start_values) == 4
+    # a power route solves the section once
+    res = maximize_hardy_ratio(power(0.5), w, cfg)
+    assert all(c > 0 for c in res.witness)
+    assert hardy_ratio(power(0.5), res.witness, w, dense_check=True) == \
+        pytest.approx(res.value, rel=1e-12)
+    assert res.start_values == (res.value,)
+    assert res.value >= start_ratio(power(0.5), w)
 
 
 def test_deterministic_across_runs():
@@ -150,12 +163,30 @@ def test_deterministic_across_runs():
 
 def test_warm_start_can_only_help():
     w = list(make_sequence("geometric:1/2").terms_floats(10))
-    cold = maximize_hardy_ratio(power(0.5), w, OptimizerConfig(starts=3, seed=0))
-    warm = maximize_hardy_ratio(
-        power(0.5), w,
-        OptimizerConfig(starts=3, seed=0, warm_starts=(cold.witness,)))
-    assert warm.value >= cold.value - 1e-12
-    assert len(warm.start_values) == 4
+    for mean in (CUBE, power(0.5)):
+        cold = maximize_hardy_ratio(mean, w, OptimizerConfig(starts=3, seed=0))
+        warm = maximize_hardy_ratio(
+            mean, w, OptimizerConfig(starts=3, seed=0, warm_starts=(cold.witness,)))
+        assert warm.value >= cold.value - 1e-12
+        if mean is CUBE:  # the ascent runs the warm start after its own three
+            assert len(warm.start_values) == 4
+        else:  # the fixed point runs once, from the better start
+            assert len(warm.start_values) == 1
+            assert warm.value >= hardy_ratio(mean, cold.witness, w) * (1 - 1e-12)
+            assert warm.value >= start_ratio(mean, w)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, -3.0, 2.0, math.inf], ids=repr)
+def test_power_routes_keep_the_best_start(p):
+    # a warm start better than 1/W_n is where the fixed point starts from; the
+    # vertex route evaluates no start and still beats both
+    w = list(make_sequence("geometric:3/4").terms_floats(12))
+    plain = maximize_hardy_ratio(power(p), w)
+    warm_x = tuple(2.0 * v for v in plain.witness)
+    warm = maximize_hardy_ratio(power(p), w, OptimizerConfig(warm_starts=(warm_x,)))
+    assert len(warm.start_values) == 1
+    for x in (1.0 / np.cumsum(w), np.array(warm_x)):
+        assert warm.value >= hardy_ratio(power(p), x, w) * (1 - 1e-12)
 
 
 def test_warm_start_shape_is_validated():
@@ -267,3 +298,63 @@ def test_power_routes_bracket_the_section(p, w):
                                   OptimizerConfig(starts=1, seed=0))
     assert ascent.solver == "ascent" and ascent.upper_section is None
     assert ascent.value <= res.upper_section * (1 + 1e-12)
+
+
+def golden_two_term(mean, w):
+    """Independent oracle for a two-term section. The ratio is
+    0-homogeneous and quasi-concave, so it is a unimodal function of
+    t = log(x_1 / x_2); golden-section search over t with brute_ratio."""
+    def f(t):
+        return brute_ratio(mean, [math.exp(t), 1.0], w)
+    a, b = -80.0, 80.0
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv * (b - a), a + inv * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(200):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv * (b - a)
+            fd = f(d)
+    assert -79.0 < a and b < 79.0  # the peak is inside the bracket
+    return max(fc, fd)
+
+
+def assert_closes(res, mean, w):
+    assert res.solver == "fixed-point" and res.iterations < _MAX_UPDATES
+    assert res.converged and res.gap <= 1e-10 * res.value
+    assert res.value >= start_ratio(mean, w) * (1 - 1e-12)
+
+
+# Each stalled the multiplicative fixed point alone at the 10,000-update cap
+# with a gap of 1e-5 to 1e-8: weights about 1e5 apart.
+@pytest.mark.parametrize("p,w", [(0.0, [1 / 672, 312]), (-3.0, [1 / 231, 50]),
+                                 (1 / 3, [0.0016, 997, 0.0017])], ids=repr)
+def test_fixed_point_closes_on_far_apart_weights(p, w):
+    res = maximize_hardy_ratio(power(p), w)
+    assert_closes(res, power(p), w)
+    if len(w) == 2:
+        best = golden_two_term(power(p), w)
+        assert best <= res.upper_section * (1 + 1e-12)
+        assert best * (1 - 1e-10) <= res.value <= best * (1 + 1e-12)
+
+
+# Orders far below -16 stalled at the cap too (p = -100 at N = 1024: gap 1.8e-3).
+@pytest.mark.parametrize("N", [1024, 4096])
+@pytest.mark.parametrize("p", [-100.0, -1e7], ids=repr)
+def test_fixed_point_closes_at_very_negative_orders(p, N):
+    w = np.random.default_rng(0).lognormal(0.0, 1.0, N)
+    assert_closes(maximize_hardy_ratio(power(p), w), power(p), w)
+
+
+@pytest.mark.parametrize("p", [0.0, -3.0, 1 / 3, 0.9], ids=repr)
+def test_fixed_point_closes_on_random_rational_weights(p):
+    # the replay that found the stalls above, and cycles at p = 0.9
+    rng = random.Random(f"fixed-point-replay:{p}")
+    for _ in range(100):
+        w = [rng.randint(1, 1000) / rng.randint(1, 1000)
+             for _ in range(rng.randint(1, 32))]
+        assert_closes(maximize_hardy_ratio(power(p), w), power(p), w)
