@@ -84,26 +84,37 @@ def _parse_one(text: str, float_mode: bool, flag: str) -> Number:
     return values[0]
 
 
-def _parse_options(args) -> None:
-    """Turn the text of --N, --trials and --starts into whole numbers >= 1
-    and that of --tol and --window into floats (a tolerance finite and
-    >= 0), all through _parse_values."""
-    for name in ("N", "trials", "starts"):
-        text = getattr(args, name, None)
-        if text is None:
-            continue
-        value = _parse_one(text, False, f"--{name}")
-        if not (is_exact(value) and value == int(value) and value >= 1):
-            raise ValueError(f"--{name} takes a whole number >= 1, got {text!r}")
-        setattr(args, name, int(value))
-    for name in ("tol", "window"):
-        text = getattr(args, name, None)
-        if text is None:
-            continue
-        value = float(_parse_one(text, True, f"--{name}"))
-        if name == "tol" and not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"--tol must be finite and >= 0, got {text!r}")
-        setattr(args, name, value)
+def _number(text: str, float_mode: bool) -> Number:
+    """_parse_one for an argparse type hook."""
+    try:
+        return _parse_one(text, float_mode, "the value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _count(text: str) -> int:
+    """argparse type of --N, --trials and --starts: a whole number >= 1,
+    written exactly."""
+    try:
+        value = _number(text, False)
+    except argparse.ArgumentTypeError:
+        value = None
+    if not (is_exact(value) and value == int(value) and value >= 1):
+        raise argparse.ArgumentTypeError(f"takes a whole number >= 1, got {text!r}")
+    return int(value)
+
+
+def _real(text: str) -> float:
+    """argparse type of --window: one float literal."""
+    return float(_number(text, True))
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a float, finite and >= 0."""
+    value = _real(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
 
 
 def _weights_arg(desc: str, float_mode: bool) -> WeightSeq:
@@ -376,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--arithmetic", action="store_true",
                    help="arithmetic-mean constant of --weights")
     c.add_argument("--weights", default="dyadic", help="weight descriptor")
-    c.add_argument("--N", default="200", help="truncation length")
+    c.add_argument("--N", type=_count, default=200, help="truncation length")
     c.add_argument("--certified", action="store_true",
                    help="also bound the tail, reporting a two-sided interval")
     _add_common(c)
@@ -394,11 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--method", required=True,
                    choices=("finite", "geometric-probe", "kedlaya",
                             "nonweighted-limit"))
-    e.add_argument("--N", default="256")
+    e.add_argument("--N", type=_count, default=256)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--starts", default="8", help=STARTS_HELP)
+    e.add_argument("--starts", type=_count, default=8, help=STARTS_HELP)
     e.add_argument("--q", default="1/2", help="probe ratio in (0,1)")
-    e.add_argument("--window", default="0.5",
+    e.add_argument("--window", type=_real, default=0.5,
                    help="trailing window fraction for steady-state estimates")
     _add_common(e, fmt_default="json")
     e.set_defaults(handler=_cmd_estimate)
@@ -414,9 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "mean-value property, elimination of vanishing weights) "
                     "plus any flags the mean declares.")
     va.add_argument("--mean", required=True)
-    va.add_argument("--trials", default="200")
+    va.add_argument("--trials", type=_count, default=200)
     va.add_argument("--seed", type=int, default=0)
-    va.add_argument("--tol", default="1e-9")
+    va.add_argument("--tol", type=_tolerance, default=1e-9)
     _add_common(va)
     va.set_defaults(handler=_cmd_verify_axioms)
 
@@ -430,9 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     vj.add_argument("--mean", required=True)
     vj.add_argument("--x", help="comma-separated values for a single instance")
     vj.add_argument("--w", help="comma-separated rational weights")
-    vj.add_argument("--trials", default="200")
+    vj.add_argument("--trials", type=_count, default=200)
     vj.add_argument("--seed", type=int, default=0)
-    vj.add_argument("--tol", default="1e-10")
+    vj.add_argument("--tol", type=_tolerance, default=1e-10)
     _add_common(vj)
     vj.set_defaults(handler=_cmd_verify_jcin)
 
@@ -447,10 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--weights", required=True)
     vc.add_argument("--blocks", required=True,
                     help="uniform block size, or a comma list of leading sizes")
-    vc.add_argument("--N", help="number of coarse truncations to check")
-    vc.add_argument("--tol", default="1e-2")
+    vc.add_argument("--N", type=_count, help="number of coarse truncations to check")
+    vc.add_argument("--tol", type=_tolerance, default=1e-2)
     vc.add_argument("--seed", type=int, default=0)
-    vc.add_argument("--starts", default="4", help=STARTS_HELP)
+    vc.add_argument("--starts", type=_count, default=4, help=STARTS_HELP)
     _add_common(vc)
     vc.set_defaults(handler=_cmd_verify_cut)
 
@@ -463,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     vd.add_argument("--x", required=True, help="step values")
     vd.add_argument("--w", required=True, help="step widths (weights)")
     vd.add_argument("--grid", required=True, help="comma-separated u values")
-    vd.add_argument("--tol", default="1e-9")
+    vd.add_argument("--tol", type=_tolerance, default=1e-9)
     _add_common(vd)
     vd.set_defaults(handler=_cmd_verify_decreasing)
 
@@ -475,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "converge to plain dyadic, the one-sided jump that lower "
                     "semicontinuity permits.")
     vl.add_argument("--kmax", type=int, default=25)
-    vl.add_argument("--N", default="200")
+    vl.add_argument("--N", type=_count, default=200)
     _add_common(vl)
     vl.set_defaults(handler=_cmd_verify_lsc)
 
@@ -486,12 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "constant: every finite-section bound must stay below "
                     "the cap (closed form for power means) plus --tol.")
     vm.add_argument("--mean", required=True)
-    vm.add_argument("--trials", default="50")
-    vm.add_argument("--N", default="256")
+    vm.add_argument("--trials", type=_count, default=50)
+    vm.add_argument("--N", type=_count, default=256)
     vm.add_argument("--seed", type=int, default=0)
     vm.add_argument("--cap", help="override the closed-form cap")
-    vm.add_argument("--tol", default="1e-3")
-    vm.add_argument("--starts", default="4", help=STARTS_HELP)
+    vm.add_argument("--tol", type=_tolerance, default=1e-3)
+    vm.add_argument("--starts", type=_count, default=4, help=STARTS_HELP)
     _add_common(vm)
     vm.set_defaults(handler=_cmd_verify_mu1)
 
@@ -506,9 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "an open question, not a checked claim.")
     xc.add_argument("--mean", required=True)
     xc.add_argument("--s-grid", default="1/2,3/4,9/10", dest="s_grid")
-    xc.add_argument("--N", default="128")
+    xc.add_argument("--N", type=_count, default=128)
     xc.add_argument("--seed", type=int, default=0)
-    xc.add_argument("--starts", default="4", help=STARTS_HELP)
+    xc.add_argument("--starts", type=_count, default=4, help=STARTS_HELP)
     _add_common(xc)
     xc.set_defaults(handler=_cmd_explore_continuity)
 
@@ -519,7 +530,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _parse_options(args)
         rendered = args.handler(args)
     except (HypothesisViolation, InconclusiveError, MeanDomainError) as exc:
         print(f"hardy: {exc}", file=sys.stderr)

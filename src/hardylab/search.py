@@ -68,8 +68,8 @@ _REL_TOL = 1e-10
 # neither raise its best value nor lower its bound
 _PATIENCE = 20
 # the fixed point's log coordinates, relative to the largest, stay above
-# _LOG_FLOOR (2 * _LOG_FLOOR / -p for raw orders p < -1), so that x**p
-# stays finite; some sections peak with coordinates far below _FLOOR
+# _LOG_FLOOR, so that its iterates keep x**p finite; some sections peak
+# with coordinates far below _FLOOR, which floors only its witness
 _LOG_FLOOR = -600.0
 # a Newton step of the fixed point moves a coordinate against the earlier
 # ones by at most _MAX_LOG_STEP in log, and at most _TIE_LOGITS logits past
@@ -380,16 +380,12 @@ class _PowerSection:
         self.eng, self.p = eng, p
         self.log_w = np.log(eng.w)
         self.log_W = np.log(eng.W)
-        # the prefix engine raises x to the power p itself in the raw
-        # regime, and the witness goes through it (centred, see
-        # _fixed_point)
-        raw = p < -1.0 and order_regime(p) == "raw"
-        self.floor = 2.0 * _LOG_FLOOR / -p if raw else _LOG_FLOOR
 
-    def normalized(self, u: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def normalized(u: np.ndarray) -> np.ndarray:
         """u shifted to max 0, which the ratio ignores and which keeps the
-        digits of p * u, and floored."""
-        return np.maximum(u - np.max(u), self.floor)
+        digits of p * u, and floored at _LOG_FLOOR."""
+        return np.maximum(u - np.max(u), _LOG_FLOOR)
 
     def at(self, u: np.ndarray) -> dict:
         eng, p = self.eng, self.p
@@ -458,9 +454,11 @@ def _fixed_point(eng: _PrefixEngine, p: float, x0: np.ndarray) -> Tuple[_Run, fl
     (1 - p). The smallest max_k g_k met along the way is the certified
     bound. Stops once the gap is at most _REL_TOL of the best value, after
     _PATIENCE updates in a row that neither raise the best value nor lower
-    the bound, or after _MAX_UPDATES updates. Returns the best iterate,
-    centred in log so that x**p stays finite in the prefix engine (x0
-    itself if that scores higher), its update count and the bound.
+    the bound, or after _MAX_UPDATES updates. Returns the best iterate
+    (x0 itself if that scores higher), its update count and the bound,
+    which comes from the unfloored iterates. Like the vertex, the iterate
+    is scaled to <w, x> = max(W_N, 1) before it is floored at _FLOOR, so
+    that the floored coordinates carry under _FLOOR of <w, x>.
     """
     sec = _PowerSection(eng, p)
     s = sec.at(sec.normalized(np.log(x0)))
@@ -491,7 +489,8 @@ def _fixed_point(eng: _PrefixEngine, p: float, x0: np.ndarray) -> Tuple[_Run, fl
                 s["u"] + (s["log_g"] - math.log(s["value"])) / (1.0 - p)))
         s = nxt
         updates += 1
-    x = np.exp(best["u"] - np.min(best["u"]) / 2.0)
+    x = np.exp(best["u"])
+    x = np.maximum(x * (max(eng.W[-1], 1.0) / np.dot(eng.w, x)), _FLOOR)
     eng.rebuild(x)
     value = eng.value
     eng.rebuild(x0)
@@ -578,8 +577,7 @@ def maximize_hardy_ratio(mean: MeanSpec, w: Sequence[float],
     if mean.family == "power":
         p = float(mean.params)
         regime = order_regime(p)
-        start = 1.0 / np.cumsum(w_arr)
-        start = np.maximum(start / np.dot(w_arr, start), _FLOOR)
+        start = _structured_starts(w_arr, 2, config.seed)[1]  # 1/W_n
         solver, run, upper = _solve_power(_PrefixEngine(mean, w_arr), p, regime,
                                           [start] + warm)
         runs = [run]

@@ -8,7 +8,10 @@ from hardylab.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses an option's value
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 

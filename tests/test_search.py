@@ -146,7 +146,7 @@ def test_witness_respects_floor_and_value_is_reproducible():
     assert len(res.start_values) == 4
     # a power route solves the section once
     res = maximize_hardy_ratio(power(0.5), w, cfg)
-    assert all(c > 0 for c in res.witness)
+    assert all(c >= _FLOOR for c in res.witness)
     assert hardy_ratio(power(0.5), res.witness, w, dense_check=True) == \
         pytest.approx(res.value, rel=1e-12)
     assert res.start_values == (res.value,)
@@ -348,6 +348,20 @@ def test_fixed_point_closes_on_far_apart_weights(p, w):
 def test_fixed_point_closes_at_very_negative_orders(p, N):
     w = np.random.default_rng(0).lognormal(0.0, 1.0, N)
     assert_closes(maximize_hardy_ratio(power(p), w), power(p), w)
+
+
+# A raw order just above -16 whose supremum sends a coordinate to 0 stopped
+# open (gap 4.5e-2 of the value) while its iterates were floored at
+# -1200/|p| in log below the largest coordinate.
+def test_fixed_point_closes_at_raw_order_with_a_vanishing_coordinate():
+    w = [0.14414876576053973, 0.8605443472962225, 0.14901164877230805,
+         1.9541303207138805, 0.015078650804503962, 0.08361776545334537,
+         0.02603154084322836, 7.785928403321131e-05, 2.7672782300660543,
+         19.145236869759486, 48.41966865409153, 510.93709345960036,
+         44.6538406501841]
+    res = maximize_hardy_ratio(power(-16.0), w)
+    assert_closes(res, power(-16.0), w)
+    assert min(res.witness) == _FLOOR
 
 
 @pytest.mark.parametrize("p", [0.0, -3.0, 1 / 3, 0.9], ids=repr)
