@@ -21,10 +21,12 @@ from .scalars import all_exact, format_number, parse_float
 # Below GEOMETRIC_ORDER_CUTOFF an order behaves as 0 (geometric), above
 # EXTREME_ORDER_CUTOFF as +/-inf (max/min). Below NEAR_GEOMETRIC_LIMIT the
 # mean goes through u^p - 1 = expm1(p ln u), which keeps the digits that
-# u^p ~ 1 would round away; raw powers u^p stay in float range up to
-# RAW_POWER_LIMIT, and beyond it sums go through shifted exponentials.
+# u^p ~ 1 would round away: the raw route's final power 1/p multiplies
+# rounding by 1/|p|, past about 1e-14 relative below |p| = 1e-2. Raw
+# powers u^p stay in float range up to RAW_POWER_LIMIT, and beyond it sums
+# go through shifted exponentials.
 GEOMETRIC_ORDER_CUTOFF = 1e-8
-NEAR_GEOMETRIC_LIMIT = 1e-4
+NEAR_GEOMETRIC_LIMIT = 1e-2
 RAW_POWER_LIMIT = 16.0
 EXTREME_ORDER_CUTOFF = 1e8
 
@@ -129,11 +131,17 @@ def power(p: float, flags: Optional[MeanFlags] = None) -> MeanSpec:
 @dataclass(frozen=True)
 class GeneratorHandle:
     """Strictly monotone generator and its inverse; both should accept
-    scalars (numpy arrays too, for the fast estimation paths)."""
+    scalars (numpy arrays too, for the fast estimation paths).
+
+    power_order is the order of the power mean the generator reproduces.
+    Only builtin_generator sets it, so a user generator never inherits the
+    flags of a built-in that happens to share its name.
+    """
 
     name: str
     forward: Callable
     inverse: Callable
+    power_order: Optional[float] = None
 
 
 def make_generator(name: str, forward: Callable, inverse: Callable,
@@ -150,20 +158,21 @@ def make_generator(name: str, forward: Callable, inverse: Callable,
     return GeneratorHandle(name, forward, inverse)
 
 
+# name -> (forward, inverse, order of the power mean it reproduces)
 _BUILTIN_GENERATORS = {
-    "log": (np.log, np.exp),
-    "identity": (lambda t: t, lambda t: t),
-    "sqrt": (np.sqrt, np.square),
+    "log": (np.log, np.exp, 0.0),
+    "identity": (lambda t: t, lambda t: t, 1.0),
+    "sqrt": (np.sqrt, np.square, 0.5),
 }
 
 
 def builtin_generator(name: str) -> GeneratorHandle:
     try:
-        fwd, inv = _BUILTIN_GENERATORS[name]
+        fwd, inv, order = _BUILTIN_GENERATORS[name]
     except KeyError:
         known = ", ".join(sorted(_BUILTIN_GENERATORS))
         raise ValueError(f"unknown generator {name!r}; built-ins: {known}") from None
-    return GeneratorHandle(name, fwd, inv)
+    return GeneratorHandle(name, fwd, inv, power_order=order)
 
 
 def quasiarithmetic_mean(gen: GeneratorHandle, x, w) -> float:
@@ -188,19 +197,16 @@ def quasiarithmetic_mean(gen: GeneratorHandle, x, w) -> float:
     return out
 
 
-# generators equivalent to a power mean, for default flag derivation
-_GENERATOR_ORDER = {"log": 0.0, "identity": 1.0, "sqrt": 0.5}
-
-
 def quasiarithmetic(gen: GeneratorHandle, flags: Optional[MeanFlags] = None) -> MeanSpec:
     """MeanSpec for the quasi-arithmetic mean of a generator.
 
-    Built-in generators that reproduce a power mean inherit that mean's
-    flags; unknown generators default to symmetric+monotone only (flags
-    are user claims, verified empirically by check_axioms).
+    Built-in generators, which carry the order of the power mean they
+    reproduce, inherit that mean's flags; any other generator defaults to
+    symmetric+monotone only (flags are user claims, verified empirically
+    by check_axioms).
     """
     if flags is None:
-        order = _GENERATOR_ORDER.get(gen.name)
+        order = gen.power_order
         if order is not None:
             flags = MeanFlags(symmetric=True, monotone=True,
                               concave=(order <= 1), homogeneous=True)

@@ -24,11 +24,12 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scalars import Number, format_number, is_exact, json_ready
+from .scalars import Number, exact_ratio, exact_sum, format_number, is_exact, json_ready
 from .kernel import MeanSpec
 from .search import OptimizerConfig, SearchResult, maximize_hardy_ratio, prefix_means
 from .weights import WeightSeq, ratio_diagnostics
@@ -121,6 +122,11 @@ def copson_constant(p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _term_ratios(lam: WeightSeq, N: int) -> List[Fraction]:
+    """w_n / W_n for n = 1..N, exactly."""
+    return [exact_ratio(lam.term(n), lam.partial_sum(n)) for n in range(1, N + 1)]
+
+
 def arithmetic_hardy(lam: WeightSeq, N: int, *, certified: bool = False) -> HardyEstimate:
     """Partial sum of w_n / W_n, the arithmetic-mean constant truncated at N.
 
@@ -132,8 +138,7 @@ def arithmetic_hardy(lam: WeightSeq, N: int, *, certified: bool = False) -> Hard
     if N < 1:
         raise ValueError("need N >= 1")
     if lam.exact:
-        partial: Number = sum(
-            Fraction(lam.term(n)) / Fraction(lam.partial_sum(n)) for n in range(1, N + 1))
+        partial: Number = exact_sum(_term_ratios(lam, N))
     else:
         terms = lam.terms_floats(N)
         partial = float(np.sum(terms / np.cumsum(terms)))
@@ -167,15 +172,10 @@ def geometric_probe(lam: WeightSeq, q: Number, N: int) -> HardyEstimate:
     exact = lam.exact and is_exact(q)
     if exact:
         qv: Number = Fraction(q)
-        powers = [qv ** n for n in range(1, N + 1)]
-        run: Number = 0
-        num: Number = 0
-        for n in range(1, N + 1):
-            run += powers[n - 1]
-            num += Fraction(lam.term(n)) * run / Fraction(lam.partial_sum(n))
-        ratio: Number = num / run
-        reference = (1 - qv) * sum(
-            Fraction(lam.term(n)) / Fraction(lam.partial_sum(n)) for n in range(1, N + 1))
+        runs = list(accumulate(qv ** n for n in range(1, N + 1)))  # sum_{k<=n} q^k
+        ratios = _term_ratios(lam, N)
+        ratio: Number = exact_sum(r * run for r, run in zip(ratios, runs)) / runs[-1]
+        reference = (1 - qv) * exact_sum(ratios)
     else:
         qf = float(q)
         w = lam.terms_floats(N)

@@ -1,12 +1,14 @@
 """Shared numeric helpers: exact-vs-float bookkeeping, extended reals,
-and parsing/formatting of number literals ("p/q", decimals, "inf")."""
+exact sums and ratios of rationals, and parsing/formatting of number
+literals ("p/q", decimals, "inf")."""
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational
-from typing import Any, Sequence, Union
+from typing import Any, Iterable, Sequence, Union
 
 Number = Union[int, float, Fraction]
 
@@ -18,6 +20,28 @@ def is_exact(value: Any) -> bool:
 
 def all_exact(values: Sequence) -> bool:
     return all(is_exact(v) for v in values)
+
+
+def exact_sum(values: Iterable[Number]) -> Number:
+    """sum(values) for exact rationals, equal to it in value and in type.
+
+    Neighbours are added level by level, so only the last few additions
+    work on full-size numerators and denominators; a left-to-right sum pays
+    a gcd and a multiply on the whole running denominator at every term.
+    """
+    level = list(values)
+    while len(level) > 1:
+        merged = [a + b for a, b in zip(level[::2], level[1::2])]
+        if len(level) % 2:
+            merged.append(level[-1])
+        level = merged
+    return sum(level)  # 0 when there are no values, as sum() gives
+
+
+def exact_ratio(a: Rational, b: Rational) -> Fraction:
+    """a / b for exact rationals as one Fraction of two integers, which
+    takes one gcd where Fraction division takes two."""
+    return Fraction(a.numerator * b.denominator, a.denominator * b.numerator)
 
 
 def parse_number(text: str) -> Number:
@@ -47,14 +71,21 @@ def parse_float(text: str) -> float:
         raise ValueError(f"{text.strip()!r} is beyond the float range") from None
 
 
+def _digits(n: int) -> str:
+    """Decimal digits of an integer of any size. str() refuses integers
+    beyond sys.get_int_max_str_digits(), a process-wide limit; Decimal
+    converts without it."""
+    return str(Decimal(n))
+
+
 def format_number(value: Number) -> str:
-    """Render for display: rationals as p/q, integral floats without a
-    trailing .0, infinities as inf/-inf."""
+    """Render for display: rationals as p/q (of any size), integral floats
+    without a trailing .0, infinities as inf/-inf."""
     if is_exact(value):
         f = Fraction(value)
         if f.denominator == 1:
-            return str(f.numerator)
-        return f"{f.numerator}/{f.denominator}"
+            return _digits(f.numerator)
+        return f"{_digits(f.numerator)}/{_digits(f.denominator)}"
     v = float(value)
     if math.isnan(v):
         return "nan"

@@ -216,17 +216,26 @@ class _PrefixEngine:
 
     def means(self, x: np.ndarray) -> np.ndarray:
         """Per-prefix means of x; in "transform" mode also keeps the running
-        sums candidate() shifts."""
+        sums candidate() shifts.
+
+        The mean of the one-term prefix is x_1 exactly, as in evaluate():
+        the round trip through the transform or the log domain would leave
+        it an ulp or so off, and a one-term section's ratio above 1, its
+        certified bound.
+        """
         w, W = self.w, self.W
         with np.errstate(all="ignore"):
             if self.mode == "transform":
                 self.F = np.asarray(self._phi(x), dtype=float)
                 self.T = np.cumsum(w * self.F)
-                return np.asarray(self._psi(self.T / W), dtype=float)
-            if self.mode == "accumulate":
-                return self._out(self._ufunc.accumulate(self._terms(x)))
-            return np.array([evaluate(self.mean, x[: k + 1], w[: k + 1])
-                             for k in range(self.n)])
+                out = np.asarray(self._psi(self.T / W), dtype=float)
+            elif self.mode == "accumulate":
+                out = self._out(self._ufunc.accumulate(self._terms(x)))
+            else:
+                return np.array([evaluate(self.mean, x[: k + 1], w[: k + 1])
+                                 for k in range(self.n)])
+        out[:1] = x[:1]
+        return out
 
     def rebuild(self, x: np.ndarray) -> None:
         self.x = np.asarray(x, dtype=float)

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scalars import Number, format_number, is_exact, json_ready, parse_number
+from .scalars import Number, exact_ratio, format_number, is_exact, json_ready, parse_number
 
 # exact ratio diagnostics above this many terms would drag big-integer
 # arithmetic for fast-growing sequences; fall back to floats there
@@ -159,10 +159,11 @@ def make_sequence(spec: str) -> WeightSeq:
             sum_diverges=True, divergence_reason="constant terms",
             term_float=lambda n: 1.0)
 
+    # closed forms build each partial sum as one Fraction of two integers
     if head == "dyadic" and not sep:
         return WeightSeq(
             "dyadic", lambda n: Fraction(1, 2 ** n),
-            partial_sum=lambda n: 1 - Fraction(1, 2 ** n),
+            partial_sum=lambda n: Fraction(2 ** n - 1, 2 ** n),
             total_sum=Fraction(1),
             sum_diverges=False, divergence_reason="geometric with ratio 1/2",
             term_float=lambda n: math.ldexp(1.0, -n))
@@ -181,17 +182,25 @@ def make_sequence(spec: str) -> WeightSeq:
                 partial_sum=lambda n: n * q,
                 sum_diverges=True, divergence_reason="ratio 1 (constant terms)",
                 term_float=lambda n: 1.0)
+        # q = a/b exactly (parse_number makes every finite literal exact), and
+        # sum_{k<=n} q^k = a (b^n - a^n) / (b^n (b - a))
+        a, b = q.numerator, q.denominator
+
+        def psum(n):
+            bn = b ** n
+            return Fraction(a * (bn - a ** n), bn * (b - a))
+
         if q < 1:
             return WeightSeq(
                 desc, lambda n: q ** n,
-                partial_sum=lambda n: q * (1 - q ** n) / (1 - q),
-                total_sum=q / (1 - q),
+                partial_sum=psum,
+                total_sum=Fraction(a, b - a),
                 sum_diverges=False,
                 divergence_reason=f"geometric with ratio {format_number(q)} < 1",
                 term_float=lambda n: qf ** n)
         return WeightSeq(
             desc, lambda n: q ** n,
-            partial_sum=lambda n: q * (q ** n - 1) / (q - 1),
+            partial_sum=psum,
             sum_diverges=True,
             divergence_reason=f"geometric with ratio {format_number(q)} >= 1",
             term_float=lambda n: qf ** n)
@@ -208,13 +217,14 @@ def make_sequence(spec: str) -> WeightSeq:
             return Fraction(1) if n == _k else Fraction(1, 2 ** n)
 
         def psum(n, _k=k):
-            base = 1 - Fraction(1, 2 ** n)
-            return base + (1 - Fraction(1, 2 ** _k)) if n >= _k else base
+            # past the bump, the dyadic sum plus 1 - 2^-k
+            extra = 2 ** n - 2 ** (n - _k) if n >= _k else 0
+            return Fraction(2 ** n - 1 + extra, 2 ** n)
 
         return WeightSeq(
             f"perturbed-dyadic:{k}", term,
             partial_sum=psum,
-            total_sum=2 - Fraction(1, 2 ** k),
+            total_sum=Fraction(2 ** (k + 1) - 1, 2 ** k),
             sum_diverges=False,
             divergence_reason="dyadic with a single bumped term",
             term_float=lambda n, _k=k: 1.0 if n == _k else math.ldexp(1.0, -n))
@@ -315,10 +325,10 @@ def ratio_diagnostics(w: WeightSeq, N: int, *,
     if w.exact and N <= EXACT_RATIO_LIMIT:
         terms = [w.term(n) for n in range(1, N + 1)]
         psums = [w.partial_sum(n) for n in range(1, N + 1)]
-        exact_ratios = [Fraction(t) / Fraction(s) for t, s in zip(terms, psums)]
+        exact_ratios = [exact_ratio(t, s) for t, s in zip(terms, psums)]
         noninc = all(a >= b for a, b in zip(exact_ratios, exact_ratios[1:]))
         ratios = tuple(float(r) for r in exact_ratios)
-        max_ratio = float(Fraction(max(terms)) / Fraction(psums[-1]))
+        max_ratio = float(exact_ratio(max(terms), psums[-1]))
         psum_n = psums[-1]
     else:
         arr = w.terms_floats(N) if floats is None else floats

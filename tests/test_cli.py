@@ -1,10 +1,13 @@
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from hardylab.cli import main
+from hardylab.hardy import arithmetic_hardy
+from hardylab.weights import make_sequence
 
 
 def run(capsys, *argv):
@@ -14,6 +17,13 @@ def run(capsys, *argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def parse_big_fraction(text):
+    """A "p/q" string of any size (Fraction(str) and int(str) refuse more
+    than sys.get_int_max_str_digits() digits, Decimal does not)."""
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
 
 
 class TestConstant:
@@ -51,6 +61,27 @@ class TestConstant:
         assert code == 0
         assert "/" not in out.splitlines()[-1]  # no thousand-digit rationals
         assert "1.6066951524" in out
+
+    def test_exact_results_of_any_size_print(self, capsys):
+        # at N = 1000 both ends have about 91,600 digits above and below the
+        # bar, beyond the 4,300 digits str() renders by default
+        code, out, err = run(capsys, "constant", "--arithmetic", "--weights",
+                             "dyadic", "--N", "1000", "--certified", "--format", "json")
+        assert code == 0, err
+        rep = json.loads(out)["report"]
+        want = arithmetic_hardy(make_sequence("dyadic"), 1000, certified=True)
+        assert parse_big_fraction(rep["lower"]) == want.lower
+        assert rep["upper"].count("/") == 1 and len(rep["upper"]) > 2 * 90_000
+
+        code, out, err = run(capsys, "constant", "--arithmetic", "--weights",
+                             "dyadic", "--N", "250", "--certified")
+        assert code == 0, err
+        assert "/" not in out and len(out) < 100  # text mode prints floats only
+        code, out, err = run(capsys, "estimate", "--method", "geometric-probe",
+                             "--weights", "dyadic", "--q", "1/10", "--N", "400",
+                             "--format", "json")
+        assert code == 0, err
+        assert len(json.loads(out)["report"]["lower"]) > 4300
 
     def test_divergent_weights_cannot_certify(self, capsys):
         code, _, err = run(capsys, "constant", "--arithmetic", "--weights",

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardylab.hardy import DEFAULT_Y_GRID, kedlaya_estimate
 from hardylab.kernel import MeanDomainError, MeanFlags, check_axioms, evaluate
 from hardylab.families import (builtin_generator, make_generator, order_regime,
                                parse_mean, power, power_mean, quasiarithmetic,
                                quasiarithmetic_mean)
+from hardylab.weights import make_sequence
 
 positive = st.floats(min_value=0.05, max_value=50, allow_nan=False)
 
@@ -49,10 +51,12 @@ class TestPowerMeanValues:
         g = power_mean(0.0, [1, 4], [1, 1])
         assert power_mean(1e-9, [1, 4], [1, 1]) == pytest.approx(g, rel=1e-12)
 
-    @pytest.mark.parametrize("p", [1.01e-8, -1.01e-8, 3e-8, 1e-6, -5e-5, 9.9e-5])
+    @pytest.mark.parametrize("p", [1.01e-8, -1.01e-8, 3e-8, 1e-6, -5e-5, 9.9e-5,
+                                   1e-4, -1e-3, 3e-3, 9.9e-3])
     def test_near_geometric_orders_keep_their_digits(self, p):
-        # u^p rounds to 1 +- a few ulps here, so raw or shifted powers lose
-        # about eps/|p| relative; a 40-digit Decimal evaluation is the oracle
+        # u^p rounds to 1 +- a few ulps, or within a few hundred ulps, here,
+        # so raw or shifted powers lose about eps/|p| relative, more than
+        # 1e-14; a 40-digit Decimal evaluation is the oracle
         rng = np.random.default_rng(7)
         x, w = rng.lognormal(0.0, 3.0, 24), rng.lognormal(0.0, 1.0, 24)
         with localcontext() as ctx:
@@ -66,9 +70,11 @@ class TestPowerMeanValues:
 
     def test_order_regimes(self):
         cases = {-math.inf: "min", -2e8: "min", -1e8: "log", -16.5: "log",
-                 -16.0: "raw", -1e-4: "raw", -9.9e-5: "near_geometric",
+                 -16.0: "raw", -1e-2: "raw", -9.9e-3: "near_geometric",
+                 -1e-4: "near_geometric", -9.9e-5: "near_geometric",
                  -1e-8: "near_geometric", -9.9e-9: "geometric", 0.0: "geometric",
-                 1e-8: "near_geometric", 1e-4: "raw", 1.0: "raw", 16.0: "raw",
+                 1e-8: "near_geometric", 1e-4: "near_geometric",
+                 9.9e-3: "near_geometric", 1e-2: "raw", 1.0: "raw", 16.0: "raw",
                  16.5: "log", 1e8: "log", 2e8: "max", math.inf: "max"}
         assert {p: order_regime(p) for p in cases} == cases
 
@@ -162,6 +168,24 @@ class TestQuasiarithmetic:
         assert evaluate(m, [2, 2], [1, 1]) == pytest.approx(2.2, rel=1e-12)
         rep = check_axioms(m, trials=40, seed=0)
         assert not rep.outcomes["mean_value"].passed
+
+    def test_builtin_generators_carry_their_power_order(self):
+        for name, order in (("log", 0.0), ("identity", 1.0), ("sqrt", 0.5)):
+            assert builtin_generator(name).power_order == order
+            assert quasiarithmetic(builtin_generator(name)).flags == power(order).flags
+        assert make_generator("sqrt", np.sqrt, np.square).power_order is None
+
+    def test_user_generator_named_like_a_builtin_gets_no_builtin_flags(self):
+        # an exponential mean named "log" is neither homogeneous nor concave;
+        # flags once came from the generator's name
+        user_log = quasiarithmetic(make_generator("log", np.exp, np.log))
+        assert user_log.flags == MeanFlags(symmetric=True, monotone=True)
+        other = quasiarithmetic(make_generator("exp-mean", np.exp, np.log))
+        lam = make_sequence("geometric:2")
+        est = kedlaya_estimate(user_log, lam, 64)
+        assert [row["y"] for row in est.diagnostics["per_y"]] == list(DEFAULT_Y_GRID)
+        assert not est.diagnostics["grid_collapsed"]
+        assert est.value == kedlaya_estimate(other, lam, 64).value
 
     def test_generator_domain_error_wrapped(self):
         g = make_generator("log", np.log, np.exp)

@@ -12,7 +12,7 @@ from hardylab.hardy import (HypothesisViolation, InconclusiveError,
                             kedlaya_sequence, unweighted_limit)
 from hardylab.kernel import evaluate
 from hardylab.search import OptimizerConfig
-from hardylab.weights import WeightSeq, make_sequence
+from hardylab.weights import WeightSeq, make_sequence, random_rational_sequence
 
 ERDOS_BORWEIN = 1.6066951524152917  # sum over n of 1 / (2^n - 1)
 
@@ -84,6 +84,70 @@ class TestArithmeticHardy:
         from hardylab.weights import as_float
         floaty = arithmetic_hardy(as_float(make_sequence("geometric:1/3")), 30)
         assert floaty.value == pytest.approx(exact.value, rel=1e-13)
+
+
+def bumped_dyadic(k):
+    return lambda n: Fraction(1) if n == k else Fraction(1, 2 ** n)
+
+
+# descriptor -> (the terms by definition, the total weight when it is finite)
+ORACLE_TERMS = {
+    "dyadic": (lambda n: Fraction(1, 2 ** n), Fraction(1)),
+    "geometric:9/10": (lambda n: Fraction(9, 10) ** n, Fraction(9)),
+    "perturbed-dyadic:3": (bumped_dyadic(3), 2 - Fraction(1, 8)),
+    "perturbed-dyadic:40": (bumped_dyadic(40), 2 - Fraction(1, 2 ** 40)),
+    "power:-2": (lambda n: Fraction(1, n * n), None),
+}
+
+
+def sequential_ratios(term, N):
+    """w_n / W_n by plain left-to-right Fraction arithmetic."""
+    ratios, W = [], Fraction(0)
+    for n in range(1, N + 1):
+        W += term(n)
+        ratios.append(term(n) / W)
+    return ratios, W
+
+
+def sequential_sum(values):
+    total = Fraction(0)
+    for v in values:
+        total += v
+    return total
+
+
+class TestExactSumsMatchSequentialOracle:
+    @pytest.mark.parametrize("N", [1, 2, 7, 64, 129])
+    @pytest.mark.parametrize("desc", sorted(ORACLE_TERMS))
+    def test_arithmetic_hardy(self, desc, N):
+        term, total = ORACLE_TERMS[desc]
+        ratios, W = sequential_ratios(term, N)
+        est = arithmetic_hardy(make_sequence(desc), N, certified=total is not None)
+        assert est.lower == sequential_sum(ratios) and type(est.lower) is Fraction
+        if total is not None:
+            assert est.upper == est.lower + (total - W) / W
+            assert type(est.upper) is Fraction
+
+    @pytest.mark.parametrize("N", [1, 5, 33, 100])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_arithmetic_hardy_on_random_rationals(self, seed, N):
+        lam = random_rational_sequence(seed)
+        ratios, _ = sequential_ratios(lam.term, N)
+        assert arithmetic_hardy(lam, N).lower == sequential_sum(ratios)
+
+    @pytest.mark.parametrize("N", [1, 2, 9, 60])
+    @pytest.mark.parametrize("q", [Fraction(1, 10), Fraction(2, 3)])
+    @pytest.mark.parametrize("desc", sorted(ORACLE_TERMS) + ["random"])
+    def test_geometric_probe(self, desc, q, N):
+        lam = random_rational_sequence(4) if desc == "random" else make_sequence(desc)
+        ratios, _ = sequential_ratios(lam.term, N)
+        run, num = Fraction(0), Fraction(0)
+        for n in range(1, N + 1):
+            run += q ** n
+            num += lam.term(n) * run / sum(lam.term(k) for k in range(1, n + 1))
+        est = geometric_probe(lam, q, N)
+        assert est.lower == num / run and type(est.lower) is Fraction
+        assert est.diagnostics["reference_lower"] == float((1 - q) * sequential_sum(ratios))
 
 
 class TestGeometricProbe:

@@ -1,9 +1,14 @@
 import math
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hardylab.scalars import format_number, is_exact, json_ready, parse_number
+from hardylab.scalars import (exact_ratio, exact_sum, format_number, is_exact,
+                              json_ready, parse_number)
 
 
 class TestParseNumber:
@@ -53,6 +58,48 @@ class TestFormatNumber:
     def test_round_trip(self):
         for v in (3, Fraction(22, 7), Fraction(-1, 8), math.inf):
             assert parse_number(format_number(v)) == v
+
+    def test_rationals_beyond_the_int_string_limit(self):
+        # str() refuses integers of more than sys.get_int_max_str_digits()
+        # digits; the rendering must not, and must leave that limit alone
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        v = Fraction(-(3 ** 20000), 2 ** 20001 + 1)
+        text = format_number(v)
+        num, den = text.split("/")
+        assert len(num) > 4300 and len(den) > 4300
+        assert Fraction(int(Decimal(num)), int(Decimal(den))) == v
+        assert format_number(Fraction(10 ** 5000)) == "1" + "0" * 5000
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+# ints, and Fractions whose numerators and denominators run from small to
+# thousands of digits
+EXACT_VALUES = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(max_denominator=10 ** 6),
+    st.builds(lambda n, k, d: Fraction(n, d * 7 ** k + 1),
+              st.integers(-10 ** 40, 10 ** 40), st.integers(0, 4000),
+              st.integers(1, 10 ** 9)),
+)
+
+
+class TestExactSum:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(EXACT_VALUES, min_size=0, max_size=64))
+    def test_equals_sum_in_value_and_type(self, values):
+        want = sum(values)
+        got = exact_sum(values)
+        assert got == want
+        assert type(got) is type(want)
+
+    def test_accepts_a_generator(self):
+        assert exact_sum(Fraction(1, n) for n in range(1, 5)) == Fraction(25, 12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(EXACT_VALUES, EXACT_VALUES.filter(lambda v: v != 0))
+    def test_ratio_equals_fraction_division(self, a, b):
+        got = exact_ratio(a, b)
+        assert got == Fraction(a) / Fraction(b) and type(got) is Fraction
 
 
 class TestIsExact:

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylab.cli import main
-from hardylab.families import (_GENERATOR_ORDER, make_generator, parse_mean,
-                               power, quasiarithmetic)
+from hardylab.families import make_generator, parse_mean, power, quasiarithmetic
 from hardylab.kernel import MeanFlags, MeanSpec, evaluate
 from hardylab.search import (_FLOOR, _MAX_UPDATES, OptimizerConfig, _PrefixEngine,
                              hardy_ratio, maximize_hardy_ratio, prefix_means)
@@ -70,8 +69,9 @@ def test_prefix_means_match_direct_evaluation(mean):
 
 
 # both sides of every regime boundary of families.order_regime
-POLICY_ORDERS = [1e-9, -1e-9, 1.01e-8, -1.01e-8, 3e-8, -3e-8, 1e-4, 16.0, -16.0,
-                 16.5, -16.5, 1e7, -1e7, 2e8, -2e8, 1e9, -1e9, math.inf, -math.inf]
+POLICY_ORDERS = [1e-9, -1e-9, 1.01e-8, -1.01e-8, 3e-8, -3e-8, 1e-4, 9.9e-3, -9.9e-3,
+                 1e-2, -1e-2, 16.0, -16.0, 16.5, -16.5, 1e7, -1e7, 2e8, -2e8, 1e9, -1e9,
+                 math.inf, -math.inf]
 
 
 @pytest.mark.parametrize("p", POLICY_ORDERS, ids=repr)
@@ -274,7 +274,7 @@ def equivalent_user_mean(p):
     else:
         gen = make_generator(f"user-power:{p}", lambda t: np.power(t, p),
                              lambda t: np.power(t, 1.0 / p))
-    assert gen.name not in _GENERATOR_ORDER
+    assert gen.power_order is None
     return quasiarithmetic(gen)
 
 
@@ -372,3 +372,31 @@ def test_fixed_point_closes_on_random_rational_weights(p):
         w = [rng.randint(1, 1000) / rng.randint(1, 1000)
              for _ in range(rng.randint(1, 32))]
         assert_closes(maximize_hardy_ratio(power(p), w), power(p), w)
+
+
+# At p = 1e-4 the raw transform's v**(1/p) multiplied rounding by 1/|p|: 97 of
+# these 200 one-term sections, whose ratio is exactly 1 = upper_section,
+# reported values up to 1 + 1.5e-12, a lower bound above its certified upper
+# bound.
+@pytest.mark.parametrize("p", [1e-4, -1e-4, 9.9e-3, 1e-2], ids=repr)
+def test_one_term_sections_keep_their_bracket_at_small_orders(p):
+    for w in np.random.default_rng(5).lognormal(0.0, 4.0, 200):
+        res = maximize_hardy_ratio(power(p), [w])
+        assert res.value <= res.upper_section, (w, res.value, res.upper_section)
+        assert res.value == 1.0
+
+
+@pytest.mark.parametrize("p", [1e-4, -1e-4], ids=repr)
+def test_prefix_means_at_small_orders_match_a_50_digit_evaluation(p):
+    mpmath = pytest.importorskip("mpmath")
+    w = make_sequence("dyadic").terms_floats(24)
+    witness = np.array(maximize_hardy_ratio(power(p), w).witness)
+    rng = np.random.default_rng(3)
+    for x, wx in ((witness, w), (rng.lognormal(0.0, 3.0, 64), rng.lognormal(0.0, 1.0, 64))):
+        with mpmath.workdps(50):
+            order, s, W, want = mpmath.mpf(p), mpmath.mpf(0), mpmath.mpf(0), []
+            for xi, wi in zip(x, wx):
+                s += mpmath.mpf(wi) * mpmath.mpf(xi) ** order
+                W += mpmath.mpf(wi)
+                want.append(float((s / W) ** (1 / order)))
+        assert prefix_means(power(p), x, wx) == pytest.approx(want, rel=1e-14, abs=0)
