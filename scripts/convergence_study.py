@@ -17,7 +17,7 @@ import argparse
 import math
 import sys
 
-from hardylab.families import parse_mean
+from hardylab.families import parse_mean, power_order
 from hardylab.hardy import copson_constant, finite_lower_bound_sweep
 from hardylab.search import OptimizerConfig
 from hardylab.weights import make_sequence
@@ -41,9 +41,8 @@ def main() -> int:
         sizes.append(n)
         n *= 2
 
-    cap = None
-    if mean.family == "power":
-        cap = copson_constant(float(mean.params))
+    p = power_order(mean)
+    cap = None if p is None else copson_constant(p)
 
     cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
     print(f"# mean={mean.name} weights={args.weights} starts={args.starts}")

@@ -20,11 +20,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .scalars import Number, json_ready
 from .kernel import MeanSpec, StepFunction, WeightVector, evaluate, interval_mean
-from .families import power
+from .families import power, power_order
 from .weights import (WeightSeq, _match_partial_sums, is_coarsening_of, make_sequence,
                       random_rational_sequence)
 from .search import OptimizerConfig
@@ -239,28 +240,17 @@ def verify_cut(mean_or_closed_form: Union[str, MeanSpec], psi: WeightSeq,
             raise _hardy.HypothesisViolation(
                 f"{psi.descriptor} is not a coarsening of {lam.descriptor}: "
                 "a partial sum falls between consecutive partial sums")
-        coarse: Number = 0
-        margin = None
-        worst = {}
-        ok = True
-        n_done = 0
-        fine: Number = 0
-        for m, n_m in enumerate(ns, start=1):
-            coarse += Fraction(psi.term(m)) / Fraction(psi.partial_sum(m))
-            while n_done < n_m:
-                n_done += 1
-                fine += Fraction(lam.term(n_done)) / Fraction(lam.partial_sum(n_done))
-            slack = fine - coarse
-            if slack < 0:
-                ok = False
-            if margin is None or slack < margin:
-                margin = slack
-                worst = {"truncation": m, "matched_fine_index": n_m,
-                         "coarse_sum": coarse, "fine_sum": fine, "slack": slack}
+        coarse = list(accumulate(_hardy._term_ratios(psi, N)))
+        fine_sums = list(accumulate(_hardy._term_ratios(lam, ns[-1])))
+        fine = [fine_sums[n - 1] for n in ns]
+        slack = [f - c for f, c in zip(fine, coarse)]
+        k = min(range(N), key=slack.__getitem__)  # the first truncation of least slack
+        ok = slack[k] >= 0
         return CheckReport(
             check="cut", passed=ok, outcome="pass" if ok else "fail",
-            instances=N, margin=float(margin),
-            witness=worst,
+            instances=N, margin=float(slack[k]),
+            witness={"truncation": k + 1, "matched_fine_index": ns[k],
+                     "coarse_sum": coarse[k], "fine_sum": fine[k], "slack": slack[k]},
             details={"mode": "arithmetic-exact", "psi": psi.descriptor,
                      "lam": lam.descriptor, "matched_indices": ns[:32]})
     mean = mean_or_closed_form
@@ -402,15 +392,17 @@ def mu1_sweep(mean: MeanSpec, trials: int = 50, N: int = 256, seed: int = 0, *,
 
     Runs the finite-section search over random rational weight sequences
     and asserts every bound stays below cap + tol. cap defaults to the
-    closed-form constant of the power-mean order and must be given for
-    other families. margin is the minimum of cap + tol - value.
+    closed-form constant of the power mean's order (families.power_order)
+    and must be given for other means. margin is the minimum of cap +
+    tol - value.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
     if cap is None:
-        if mean.family != "power":
+        p = power_order(mean)
+        if p is None:
             raise ValueError("no closed-form cap for this mean family; pass cap=")
-        cap = _hardy.copson_constant(float(mean.params))
+        cap = _hardy.copson_constant(p)
     margin = math.inf
     witness = None
     for i in range(trials):

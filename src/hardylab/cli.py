@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence
 
 from .scalars import Number, format_number, is_exact, json_ready, parse_float, parse_number
 from .kernel import MeanDomainError, MeanSpec, check_axioms, step_profile
-from .families import parse_mean
+from .families import parse_mean, power_order
 from .weights import WeightSeq, as_float, coarsen, make_sequence, ratio_diagnostics
 from .search import OptimizerConfig
 from .hardy import (HypothesisViolation, InconclusiveError, arithmetic_hardy,
@@ -42,8 +42,8 @@ from .checks import (jcin_sweep, lsc_example_table, mu1_sweep, verify_cut,
                      verify_decreasing, verify_jcin)
 
 SCHEMA = "hardy-lab/1"
-STARTS_HELP = ("starting points of the coordinate ascent (means other than power "
-               "means); a power mean solves each section once")
+STARTS_HELP = ("starting points of the coordinate ascent; every mean named here is a power "
+               "mean (built-in generators included) and solves each section once")
 
 
 @dataclass
@@ -334,7 +334,8 @@ def _cmd_explore_continuity(args) -> Rendered:
         est = finite_lower_bound(mean, lam, args.N, cfg_opt)
         rows_out.append({"s": format_number(s), "value": est.value, **_search_fields(est)})
     ones_est = finite_lower_bound(mean, make_sequence("ones"), args.N, cfg_opt)
-    cap = copson_constant(float(mean.params)) if mean.family == "power" else None
+    p = power_order(mean)
+    cap = None if p is None else copson_constant(p)
     report = {
         "rows": rows_out,
         "ones_value": ones_est.value,

@@ -17,7 +17,7 @@ import numpy as np
 from .kernel import MeanDomainError, MeanFlags, MeanSpec, WeightVector, _validate_points
 from .scalars import all_exact, format_number, parse_float
 
-# The order policy shared by power_mean and the search's prefix engine.
+# The order policy shared by power_mean and the search's prefix_means.
 # Below GEOMETRIC_ORDER_CUTOFF an order behaves as 0 (geometric), above
 # EXTREME_ORDER_CUTOFF as +/-inf (max/min). Below NEAR_GEOMETRIC_LIMIT the
 # mean goes through u^p - 1 = expm1(p ln u), which keeps the digits that
@@ -219,6 +219,16 @@ def quasiarithmetic(gen: GeneratorHandle, flags: Optional[MeanFlags] = None) -> 
         fn=lambda xs, ws: quasiarithmetic_mean(gen, xs, ws),
         name=f"quasiarithmetic:{gen.name}",
     )
+
+
+def power_order(mean: MeanSpec) -> Optional[float]:
+    """The order p of a power spec, or of a quasi-arithmetic mean whose
+    generator carries its power order; None for every other mean."""
+    if mean.family == "power":
+        return float(mean.params)
+    if mean.family == "quasiarithmetic":
+        return mean.params.power_order
+    return None
 
 
 def parse_mean(text: str) -> MeanSpec:

@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .scalars import Number, exact_ratio, exact_sum, format_number, is_exact, json_ready
-from .kernel import MeanSpec
+from .kernel import MeanDomainError, MeanSpec
 from .search import OptimizerConfig, SearchResult, maximize_hardy_ratio, prefix_means
 from .weights import WeightSeq, ratio_diagnostics
 
@@ -288,7 +288,9 @@ def kedlaya_estimate(mean: MeanSpec, lam: WeightSeq, N: int, *,
     the mean's flags claim homogeneity y cancels, so only y = 1 is
     evaluated: per_y holds that one row, grid_spread is 0 and
     grid_collapsed is true. Other means run the whole grid and report the
-    observed spread.
+    observed spread. A row whose terms are not all finite (the mean
+    overflowed) is marked {"y": y, "finite": false} in per_y and left out
+    of the best y and the spread; MeanDomainError if every row is.
     """
     if N < 4:
         raise ValueError("need N >= 4")
@@ -314,13 +316,18 @@ def kedlaya_estimate(mean: MeanSpec, lam: WeightSeq, N: int, *,
     best = None
     for y in (float(v) for v in y_grid):
         a = _substitution_terms(mean, w, W, y)
+        if not np.all(np.isfinite(a)):
+            per_y.append({"y": y, "finite": False})
+            continue
         steady, trend, drift = _steady_stats(a, window)
         row = {"y": y, "steady": steady, "divergent_trend": trend, "drift": drift}
         per_y.append(row)
         if best is None or steady > best[0]:
             best = (steady, row)
+    if best is None:
+        raise MeanDomainError(f"{mean.name}: no y of the grid gives finite terms")
     steady, row = best
-    spread = max(r["steady"] for r in per_y) - min(r["steady"] for r in per_y)
+    spread = float(np.ptp([r["steady"] for r in per_y if "steady" in r]))
     return HardyEstimate(
         kind="substitution", mean=mean.name, weights=lam.descriptor, N=N,
         value=steady, lower=None,

@@ -4,9 +4,10 @@ Maximizes R(x) = sum_n w_n M(x_1..x_n, w_1..w_n) / sum_n w_n x_n over
 positive vectors x of fixed length. Any feasible x makes R(x) a valid
 lower bound on the best constant.
 
-The solver follows the mean's structure. For a power mean of order p,
-A(x) = sum_n w_n M_n(x) is 1-homogeneous, convex for p >= 1 and concave
-for p <= 1, and families.order_regime picks the route:
+The solver follows the mean's structure. For a power mean of order p
+(families.power_order: a power spec, or the quasi-arithmetic mean of a
+built-in generator), A(x) = sum_n w_n M_n(x) is 1-homogeneous, convex for
+p >= 1 and concave for p <= 1, and families.order_regime picks the route:
 
 - "vertex" (p >= 1 and max): a convex ratio peaks at a vertex e_k of the
   simplex <w, x> = 1, and all N vertex ratios come in closed form in O(N).
@@ -24,12 +25,12 @@ for p <= 1, and families.order_regime picks the route:
   the iteration stops on. A concave-over-linear ratio has no local
   maximum that is not global, so more starts would buy nothing. For min
   the value is 1 at the constant vector, which is also the bound.
-- "ascent" (every other mean): multistart projected coordinate ascent,
-  per coordinate a coarse log-grid scan followed by golden-section
-  refinement, with incremental objective updates that touch only the
-  suffix a coordinate change can affect. Quasi-arithmetic means get O(N-j) candidates through
-  a running transform; anything else falls back to direct prefix
-  evaluation, which is quadratic and only sensible for small N.
+- "ascent" (user generators and opaque means): multistart projected
+  coordinate ascent, per coordinate a coarse log-grid scan and then
+  golden-section refinement, with incremental updates of the suffix a
+  coordinate change affects: O(N-j) per candidate through a generator's
+  running transform, and quadratic direct prefix evaluation for an
+  opaque mean, only sensible for small N.
 
 The two power routes report upper_section, a certified upper bound on the
 supremum of this N-section (not on the constant of the infinite sequence).
@@ -44,7 +45,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .families import order_regime
+from .families import order_regime, power_order
 from .kernel import MeanSpec, evaluate
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -157,120 +158,118 @@ def _vectorized(fn: Callable) -> Callable:
     return np.vectorize(fn, otypes=[float])
 
 
-class _PrefixEngine:
-    """Running-prefix objective for one mean over fixed weights.
+def _transform(mean: MeanSpec) -> Optional[Tuple[Callable, Callable]]:
+    """The pair (phi, psi) with M_n = psi(sum_{k<=n} w_k phi(x_k) / W_n):
+    for power orders in the geometric, near-geometric and raw regimes of
+    families.order_regime, as power_mean evaluates them, and for other
+    generators. None for min, max, log-domain orders and opaque means."""
+    p = power_order(mean)
+    if p is None and mean.family == "quasiarithmetic":
+        return _vectorized(mean.params.forward), _vectorized(mean.params.inverse)
+    regime = None if p is None else order_regime(p)
+    if regime == "geometric":
+        return np.log, np.exp
+    if regime == "near_geometric":
+        return lambda u: np.expm1(p * np.log(u)), lambda v: np.exp(np.log1p(v) / p)
+    if regime == "raw":
+        inv = 1.0 / p
+        return lambda u: np.power(u, p), lambda v: np.power(v, inv)
+    return None
 
-    The power family's order picks the mode through families.order_regime,
-    the rule power_mean follows too:
 
-    - "transform" (power orders up to RAW_POWER_LIMIT, quasi-arithmetic
-      means): keeps F = phi(x) and T = cumsum(w * F); a candidate shifts
-      the suffix of T by w[j] * (phi(t) - F[j]).
-    - "accumulate" (min, max, larger power orders in the log domain):
-      accumulates per-entry terms under one ufunc (np.minimum, np.maximum
-      or np.logaddexp), and an output map turns the accumulation into the
-      means.
-    - "generic": evaluates every prefix directly, quadratic in N.
+def _direct_means(mean: MeanSpec, x: np.ndarray, w: np.ndarray, start: int = 0) -> np.ndarray:
+    """Prefix means from length start + 1 on, each evaluated directly."""
+    return np.array([evaluate(mean, x[: k + 1], w[: k + 1]) for k in range(start, len(w))])
 
-    Only the coordinate ascent calls candidate(), and only quasi-arithmetic
-    and opaque means reach it; outside "transform" it evaluates directly.
+
+def _quotient(num: float, den: float) -> float:
+    """num / den, or -inf unless num is finite and den positive."""
+    return num / den if math.isfinite(num) and den > 0 else -math.inf
+
+
+def prefix_means(mean: MeanSpec, x: Sequence[float], w: Sequence[float]) -> np.ndarray:
+    """M(x_1..x_n; w_1..w_n) for n = 1..len(w).
+
+    Running sums of a transform (see _transform), a running minimum,
+    maximum or log-sum-exp for the other power orders, and direct
+    evaluation for opaque means. The one-term prefix gives x_1 exactly,
+    as evaluate() does: a round trip through the transform would leave
+    it an ulp or so off, and a one-term section's ratio above 1, its
+    certified bound.
     """
+    w = np.asarray(w, dtype=float)
+    return _prefix_means(mean, np.asarray(x, dtype=float), w, np.cumsum(w))
+
+
+def _prefix_means(mean: MeanSpec, x: np.ndarray, w: np.ndarray,
+                  W: np.ndarray) -> np.ndarray:
+    """prefix_means over arrays, with the weights' partial sums W."""
+    pair, p = _transform(mean), power_order(mean)
+    with np.errstate(all="ignore"):
+        if pair is not None:
+            phi, psi = pair
+            out = np.asarray(psi(np.cumsum(w * np.asarray(phi(x), dtype=float)) / W),
+                             dtype=float)
+        elif p is None:
+            return _direct_means(mean, x, w)
+        elif order_regime(p) == "log":
+            out = np.exp((np.logaddexp.accumulate(np.log(w) + p * np.log(x))
+                          - np.log(W)) / p)
+        else:
+            out = (np.maximum if p > 0 else np.minimum).accumulate(x)
+    out[:1] = x[:1]
+    return out
+
+
+def _ratio(mean: MeanSpec, x: np.ndarray, w: np.ndarray, W: np.ndarray) -> float:
+    """The Hardy ratio of x through the running prefix means."""
+    mn = _prefix_means(mean, x, w, W)
+    return _quotient(float(np.cumsum(w * mn)[-1]), float(np.dot(w, x)))
+
+
+class _PrefixEngine:
+    """The coordinate ascent's running objective for one mean over fixed
+    weights. With a transform (phi, psi) it keeps F = phi(x) and T =
+    cumsum(w * F), and candidate() shifts the suffix of T by w[j] *
+    (phi(t) - F[j]), in O(N - j); without one it evaluates every prefix
+    from j on directly, quadratic in N."""
 
     def __init__(self, mean: MeanSpec, w: np.ndarray):
         self.mean = mean
         self.w = np.asarray(w, dtype=float)
-        self.n = len(self.w)
         self.W = np.cumsum(self.w)
-        self.mode = "generic"
-        if mean.family == "power":
-            p = float(mean.params)
-            regime = order_regime(p)
-            if regime in ("min", "max"):
-                self._accumulate(np.minimum if regime == "min" else np.maximum,
-                                 lambda x: x, lambda a: a)
-            elif regime == "log":
-                logw, logW = np.log(self.w), np.log(self.W)
-                self._accumulate(np.logaddexp, lambda x: logw + p * np.log(x),
-                                 lambda a: np.exp((a - logW) / p))
-            elif regime == "geometric":
-                self._transform(np.log, np.exp)
-            elif regime == "near_geometric":
-                self._transform(lambda u: np.expm1(p * np.log(u)),
-                                lambda v: np.exp(np.log1p(v) / p))
-            else:
-                inv = 1.0 / p
-                self._transform(lambda u: np.power(u, p),
-                                lambda v: np.power(v, inv))
-        elif mean.family == "quasiarithmetic":
-            gen = mean.params
-            self._transform(_vectorized(gen.forward), _vectorized(gen.inverse))
-
-    def _transform(self, phi: Callable, psi: Callable) -> None:
-        self.mode, self._phi, self._psi = "transform", phi, psi
-
-    def _accumulate(self, ufunc, terms: Callable, out: Callable) -> None:
-        """terms(x) -> per-entry terms, out(A) -> the prefix means from
-        their running accumulation A under ufunc."""
-        self.mode = "accumulate"
-        self._ufunc, self._terms, self._out = ufunc, terms, out
-
-    def means(self, x: np.ndarray) -> np.ndarray:
-        """Per-prefix means of x; in "transform" mode also keeps the running
-        sums candidate() shifts.
-
-        The mean of the one-term prefix is x_1 exactly, as in evaluate():
-        the round trip through the transform or the log domain would leave
-        it an ulp or so off, and a one-term section's ratio above 1, its
-        certified bound.
-        """
-        w, W = self.w, self.W
-        with np.errstate(all="ignore"):
-            if self.mode == "transform":
-                self.F = np.asarray(self._phi(x), dtype=float)
-                self.T = np.cumsum(w * self.F)
-                out = np.asarray(self._psi(self.T / W), dtype=float)
-            elif self.mode == "accumulate":
-                out = self._out(self._ufunc.accumulate(self._terms(x)))
-            else:
-                return np.array([evaluate(self.mean, x[: k + 1], w[: k + 1])
-                                 for k in range(self.n)])
-        out[:1] = x[:1]
-        return out
+        self.transform = _transform(mean)
 
     def rebuild(self, x: np.ndarray) -> None:
         self.x = np.asarray(x, dtype=float)
-        self.mn = self.means(self.x)
+        if self.transform is None:
+            self.mn = _direct_means(self.mean, self.x, self.w)
+        else:
+            phi, psi = self.transform
+            with np.errstate(all="ignore"):
+                self.F = np.asarray(phi(self.x), dtype=float)
+                self.T = np.cumsum(self.w * self.F)
+                self.mn = np.asarray(psi(self.T / self.W), dtype=float)
+            self.mn[:1] = self.x[:1]
         self.PN = np.cumsum(self.w * self.mn)
         self.D = float(np.dot(self.w, self.x))
-        num = float(self.PN[-1])
-        self.value = num / self.D if math.isfinite(num) and self.D > 0 else -math.inf
+        self.value = _quotient(float(self.PN[-1]), self.D)
 
     def candidate(self, j: int, t: float) -> float:
         """Objective after setting x[j] = t, leaving the rest fixed."""
         w, W = self.w, self.W
         head = float(self.PN[j - 1]) if j > 0 else 0.0
         with np.errstate(all="ignore"):
-            if self.mode == "transform":
-                delta = w[j] * (float(self._phi(t)) - self.F[j])
-                mn_suf = np.asarray(self._psi((self.T[j:] + delta) / W[j:]), dtype=float)
+            if self.transform is not None:
+                phi, psi = self.transform
+                delta = w[j] * (float(phi(t)) - self.F[j])
+                mn_suf = np.asarray(psi((self.T[j:] + delta) / W[j:]), dtype=float)
             else:
                 x_new = self.x.copy()
                 x_new[j] = t
-                mn_suf = np.array([
-                    evaluate(self.mean, x_new[: k + 1], w[: k + 1])
-                    for k in range(j, self.n)
-                ])
+                mn_suf = _direct_means(self.mean, x_new, w, j)
             num = head + float(np.dot(w[j:], mn_suf))
-        den = self.D + w[j] * (t - self.x[j])
-        if not (math.isfinite(num) and den > 0):
-            return -math.inf
-        return num / den
-
-
-def prefix_means(mean: MeanSpec, x: Sequence[float], w: Sequence[float]) -> np.ndarray:
-    """M(x_1..x_n; w_1..w_n) for n = 1..len(w), through the same running
-    formulas the search evaluates."""
-    return _PrefixEngine(mean, w).means(np.asarray(x, dtype=float))
+        return _quotient(num, self.D + w[j] * (t - self.x[j]))
 
 
 def hardy_ratio(mean: MeanSpec, x: Sequence[float], w: Sequence[float], *,
@@ -281,18 +280,17 @@ def hardy_ratio(mean: MeanSpec, x: Sequence[float], w: Sequence[float], *,
     few prefixes (all of them under dense_check) so a fast-path bug
     cannot silently inflate reported bounds.
     """
-    w_arr = np.asarray(w, dtype=float)
-    eng = _PrefixEngine(mean, w_arr)
-    eng.rebuild(np.asarray(x, dtype=float))
-    idx = range(eng.n) if dense_check else sorted({0, eng.n // 2, eng.n - 1})
+    x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
+    mn = prefix_means(mean, x, w)
+    idx = range(len(w)) if dense_check else sorted({0, len(w) // 2, len(w) - 1})
     for k in idx:
-        direct = evaluate(mean, list(eng.x[: k + 1]), list(w_arr[: k + 1]))
-        fast = float(eng.mn[k])
+        direct = evaluate(mean, list(x[: k + 1]), list(w[: k + 1]))
+        fast = float(mn[k])
         if abs(fast - direct) > 1e-8 * max(1.0, abs(direct)):
             raise AssertionError(
                 f"prefix-mean fast path disagrees with direct evaluation at "
                 f"prefix {k + 1}: {fast!r} vs {direct!r}")
-    return eng.value
+    return _quotient(float(np.cumsum(w * mn)[-1]), float(np.dot(w, x)))
 
 
 # one start's outcome: (value, x, converged, updates, iterations)
@@ -329,7 +327,7 @@ def _ascend(mean: MeanSpec, w: np.ndarray, x0: np.ndarray) -> _Run:
     for _ in range(_MAX_SWEEPS):
         sweeps += 1
         before = eng.value
-        for j in range(eng.n):
+        for j in range(len(w)):
             if updates >= _MAX_UPDATES:
                 break
             u = math.log10(eng.x[j])
@@ -358,7 +356,7 @@ def _ascend(mean: MeanSpec, w: np.ndarray, x0: np.ndarray) -> _Run:
     return eng.value, eng.x.copy(), converged, updates, sweeps
 
 
-def _vertices(eng: _PrefixEngine, inv: float) -> Tuple[np.ndarray, float]:
+def _vertices(w: np.ndarray, W: np.ndarray, inv: float) -> Tuple[np.ndarray, float]:
     """The best vertex of a convex power section and its closed-form ratio.
 
     With 1/p = inv (0 for max), R(e_k) = w_k^(inv-1) sum_{n>=k} w_n W_n^-inv
@@ -366,11 +364,10 @@ def _vertices(eng: _PrefixEngine, inv: float) -> Tuple[np.ndarray, float]:
     floor, and its own is max(W_N, 1) / w_k: then the floored ones carry
     under _FLOOR of <w, x> and move the ratio by about that fraction.
     """
-    w, W = eng.w, eng.W
     with np.errstate(all="ignore"):
         ratios = w ** (inv - 1.0) * np.cumsum((w * W ** -inv)[::-1])[::-1]
     k = int(np.argmax(ratios))
-    x = np.full(eng.n, _FLOOR)
+    x = np.full(len(w), _FLOOR)
     x[k] = max(W[-1], 1.0) / w[k]
     return x, float(ratios[k])
 
@@ -381,14 +378,12 @@ class _PowerSection:
     at(u) evaluates the ratio, the running log-sums lam_n = log sum_{k<=n}
     w_k x_k^p and log g, where g_k = (dA/dx_k) / w_k. Orders p <= -1 read
     the prefix means off lam, because x = exp(u) would round away the
-    digits of p * u at large |p|; milder orders go through the prefix
-    engine.
+    digits of p * u at large |p|; milder orders go through prefix_means.
     """
 
-    def __init__(self, eng: _PrefixEngine, p: float):
-        self.eng, self.p = eng, p
-        self.log_w = np.log(eng.w)
-        self.log_W = np.log(eng.W)
+    def __init__(self, mean: MeanSpec, w: np.ndarray, W: np.ndarray, p: float):
+        self.mean, self.w, self.W, self.p = mean, w, W, p
+        self.log_w, self.log_W = np.log(w), np.log(W)
 
     @staticmethod
     def normalized(u: np.ndarray) -> np.ndarray:
@@ -397,17 +392,17 @@ class _PowerSection:
         return np.maximum(u - np.max(u), _LOG_FLOOR)
 
     def at(self, u: np.ndarray) -> dict:
-        eng, p = self.eng, self.p
+        w, p = self.w, self.p
         with np.errstate(all="ignore"):
             ell = self.log_w + p * u
             lam = np.logaddexp.accumulate(ell)
-            log_m = (lam - self.log_W) / p if p <= -1.0 else np.log(eng.means(np.exp(u)))
-            A = float(np.dot(eng.w, np.exp(log_m)))
-            D = float(np.dot(eng.w, np.exp(u)))
+            log_m = ((lam - self.log_W) / p if p <= -1.0
+                     else np.log(_prefix_means(self.mean, np.exp(u), w, self.W)))
+            A = float(np.dot(w, np.exp(log_m)))
+            D = float(np.dot(w, np.exp(u)))
             log_g = (p - 1.0) * u + np.logaddexp.accumulate(
                 (self.log_w - self.log_W + (1.0 - p) * log_m)[::-1])[::-1]
-        value = A / D if math.isfinite(A) and D > 0 else -math.inf
-        return {"u": u, "value": value, "A": A, "D": D, "ell": ell, "lam": lam,
+        return {"u": u, "value": _quotient(A, D), "A": A, "D": D, "ell": ell, "lam": lam,
                 "log_g": log_g, "bound": float(np.exp(np.max(log_g)))}
 
     def newton(self, s: dict) -> Tuple[np.ndarray, np.ndarray]:
@@ -436,7 +431,7 @@ class _PowerSection:
         where coordinate m ties with that average: past the tie the model
         no longer holds, and before it the ratio can be flat to rounding.
         """
-        p, w = self.p, self.eng.w
+        p, w = self.p, self.w
         u, ell, lam = s["u"], s["ell"], s["lam"]
         with np.errstate(all="ignore"):
             q = np.exp(ell - lam)
@@ -452,8 +447,9 @@ class _PowerSection:
         return z, b
 
 
-def _fixed_point(eng: _PrefixEngine, p: float, x0: np.ndarray) -> Tuple[_Run, float]:
-    """The certified solve of a concave order p < 1 from the start x0.
+def _fixed_point(sec: _PowerSection, x0: np.ndarray, v0: float) -> Tuple[_Run, float]:
+    """The certified solve of a concave order p < 1 from the start x0,
+    whose ratio is v0.
 
     Each update first tries the Newton step of _PowerSection.newton,
     halving its length up to _HALVINGS times until the ratio rises, or
@@ -469,7 +465,6 @@ def _fixed_point(eng: _PrefixEngine, p: float, x0: np.ndarray) -> Tuple[_Run, fl
     is scaled to <w, x> = max(W_N, 1) before it is floored at _FLOOR, so
     that the floored coordinates carry under _FLOOR of <w, x>.
     """
-    sec = _PowerSection(eng, p)
     s = sec.at(sec.normalized(np.log(x0)))
     best, upper = s, math.inf
     updates = idle = 0
@@ -495,39 +490,32 @@ def _fixed_point(eng: _PrefixEngine, p: float, x0: np.ndarray) -> Tuple[_Run, fl
                 t *= 0.5
         if nxt is None:
             nxt = sec.at(sec.normalized(
-                s["u"] + (s["log_g"] - math.log(s["value"])) / (1.0 - p)))
+                s["u"] + (s["log_g"] - math.log(s["value"])) / (1.0 - sec.p)))
         s = nxt
         updates += 1
     x = np.exp(best["u"])
-    x = np.maximum(x * (max(eng.W[-1], 1.0) / np.dot(eng.w, x)), _FLOOR)
-    eng.rebuild(x)
-    value = eng.value
-    eng.rebuild(x0)
-    if eng.value >= value:
-        x, value = x0, eng.value
+    x = np.maximum(x * (max(sec.W[-1], 1.0) / np.dot(sec.w, x)), _FLOOR)
+    value = _ratio(sec.mean, x, sec.w, sec.W)
+    if v0 >= value:
+        x, value = x0, v0
     return (value, x, False, updates, updates), upper
 
 
-def _solve_power(eng: _PrefixEngine, p: float, regime: str,
+def _solve_power(mean: MeanSpec, p: float, regime: str, w: np.ndarray, W: np.ndarray,
                  starts: List[np.ndarray]) -> Tuple[str, _Run, float]:
-    """Route a power mean by its order regime: (solver, run, upper_section).
+    """Route the order-p power mean by its regime: (solver, run, upper_section).
 
     The closed forms need no start. The fixed point runs once, from the
     start with the highest ratio (the first on ties).
     """
     if regime == "min":
         # sum_n w_n min(x_1..x_n) <= <w, x>, with equality at constant x
-        return "fixed-point", (1.0, np.full(eng.n, 1.0 / eng.W[-1]), False, 0, 0), 1.0
+        return "fixed-point", (1.0, np.full(len(w), 1.0 / W[-1]), False, 0, 0), 1.0
     if regime == "max" or p >= 1.0:
-        vertex, upper = _vertices(eng, 0.0 if regime == "max" else 1.0 / p)
-        eng.rebuild(vertex)
-        return "vertex", (eng.value, vertex, False, 0, 0), upper
-
-    def ratio(x0: np.ndarray) -> float:
-        eng.rebuild(x0)
-        return eng.value
-
-    run, upper = _fixed_point(eng, p, max(starts, key=ratio))
+        vertex, upper = _vertices(w, W, 0.0 if regime == "max" else 1.0 / p)
+        return "vertex", (_ratio(mean, vertex, w, W), vertex, False, 0, 0), upper
+    v0, x0 = max(((_ratio(mean, x, w, W), x) for x in starts), key=lambda s: s[0])
+    run, upper = _fixed_point(_PowerSection(mean, w, W, p), x0, v0)
     return "fixed-point", run, upper
 
 
@@ -552,14 +540,16 @@ def maximize_hardy_ratio(mean: MeanSpec, w: Sequence[float],
                          config: OptimizerConfig = OptimizerConfig()) -> SearchResult:
     """Best Hardy ratio over the section of weight prefix w.
 
-    Power means go to the solver their order's structure allows: the
-    closed-form vertex for p >= 1 and max, the certified fixed point with
-    its safeguarded Newton step for p < 1 and the closed form 1 for min,
-    all reporting upper_section. Each solves the section once, so
+    Power means, the built-in generators' quasi-arithmetic means among
+    them (families.power_order), go to the solver their order's structure
+    allows: the closed-form vertex for p >= 1 and max, the certified fixed
+    point with its safeguarded Newton step for p < 1 and the closed form 1
+    for min, all reporting upper_section. Each solves the section once, so
     start_values holds one entry, and its value is no worse than the ratio
     at 1/W_n or at any warm start. Every other mean runs multistart
-    coordinate ascent: every start and warm start is run and keeps its
-    best point, so no start's value is lost.
+    coordinate ascent (user generators and opaque means): every start and
+    warm start is run and keeps its best point, so no start's value is
+    lost.
 
     Deterministic for a fixed config: the ascent's starts are seeded by
     index, and its results are reduced by best value with
@@ -581,16 +571,16 @@ def maximize_hardy_ratio(mean: MeanSpec, w: Sequence[float],
             raise ValueError("warm starts must match the weight prefix length")
         warm.append(np.maximum(v, _FLOOR))
 
-    upper: Optional[float] = None
-    regime = None
-    if mean.family == "power":
-        p = float(mean.params)
-        regime = order_regime(p)
-        start = _structured_starts(w_arr, 2, config.seed)[1]  # 1/W_n
-        solver, run, upper = _solve_power(_PrefixEngine(mean, w_arr), p, regime,
-                                          [start] + warm)
+    p = power_order(mean)
+    regime = None if p is None else order_regime(p)
+    if regime is not None:
+        W = np.cumsum(w_arr)
+        start = 1.0 / W
+        start = np.maximum(start / np.dot(w_arr, start), _FLOOR)
+        solver, run, upper = _solve_power(mean, p, regime, w_arr, W, [start] + warm)
         runs = [run]
     else:
+        upper = None
         starts = _structured_starts(w_arr, config.starts, config.seed) + warm
         solver, runs = "ascent", [_ascend(mean, w_arr, x0) for x0 in starts]
 

@@ -238,6 +238,15 @@ class TestVerifySubcommands:
         assert code == 0
         assert json.loads(out)["report"]["passed"] is True
 
+    def test_mu1_sweep_caps_a_builtin_generator_by_its_order(self, capsys):
+        # quasiarithmetic:sqrt is the power mean of order 1/2, with C(1/2) = 4
+        code, out, err = run(capsys, "verify", "mu1-sweep", "--mean",
+                             "quasiarithmetic:sqrt", "--trials", "2", "--N", "16",
+                             "--format", "json")
+        assert code == 0, err
+        rep = json.loads(out)["report"]
+        assert rep["passed"] is True and rep["details"]["cap"] == 4.0
+
 
 class TestExplore:
     def test_continuity_sweep_is_informational(self, capsys):
@@ -251,6 +260,15 @@ class TestExplore:
             assert search["solver"] == "fixed-point"
             assert search["gap"] >= 0 and search["iterations"] >= 0
         assert rep["ones_value"] <= rep["ones_search"]["upper_section"]
+
+    def test_continuity_caps_a_builtin_generator_by_its_order(self, capsys):
+        code, out, _ = run(capsys, "explore", "continuity", "--mean",
+                           "quasiarithmetic:sqrt", "--s-grid", "1/2", "--N", "16",
+                           "--format", "json")
+        assert code == 0
+        rep = json.loads(out)["report"]
+        assert rep["closed_form_cap"] == 4.0
+        assert rep["ones_search"]["solver"] == "fixed-point"
 
     def test_continuity_csv_carries_the_ones_row(self, capsys):
         code, out, _ = run(capsys, "explore", "continuity", "--mean",

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hardylab.hardy import DEFAULT_Y_GRID, kedlaya_estimate
 from hardylab.kernel import MeanDomainError, MeanFlags, check_axioms, evaluate
 from hardylab.families import (builtin_generator, make_generator, order_regime,
-                               parse_mean, power, power_mean, quasiarithmetic,
-                               quasiarithmetic_mean)
+                               parse_mean, power, power_mean, power_order,
+                               quasiarithmetic, quasiarithmetic_mean)
 from hardylab.weights import make_sequence
 
 positive = st.floats(min_value=0.05, max_value=50, allow_nan=False)
@@ -173,7 +173,10 @@ class TestQuasiarithmetic:
         for name, order in (("log", 0.0), ("identity", 1.0), ("sqrt", 0.5)):
             assert builtin_generator(name).power_order == order
             assert quasiarithmetic(builtin_generator(name)).flags == power(order).flags
+            assert power_order(quasiarithmetic(builtin_generator(name))) == order
         assert make_generator("sqrt", np.sqrt, np.square).power_order is None
+        assert power_order(quasiarithmetic(make_generator("sqrt", np.sqrt, np.square))) is None
+        assert power_order(power(-2)) == -2.0 and power_order(power(-math.inf)) == -math.inf
 
     def test_user_generator_named_like_a_builtin_gets_no_builtin_flags(self):
         # an exponential mean named "log" is neither homogeneous nor concave;

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hardylab.hardy import (HypothesisViolation, InconclusiveError,
                             finite_lower_bound, finite_lower_bound_sweep,
                             geometric_probe, kedlaya_estimate,
                             kedlaya_sequence, unweighted_limit)
-from hardylab.kernel import evaluate
+from hardylab.kernel import MeanDomainError, evaluate
 from hardylab.search import OptimizerConfig
 from hardylab.weights import WeightSeq, make_sequence, random_rational_sequence
 
@@ -245,6 +246,21 @@ class TestKedlaya:
         assert not est.diagnostics["grid_collapsed"]
         assert est.diagnostics["grid_spread"] > 1e-6
         assert len(est.diagnostics["per_y"]) == 21
+
+    def test_overflowed_rows_are_left_out_of_the_grid(self):
+        # an exponential mean under a built-in's name: exp(y / W_1) overflows
+        # at y = 1024, which reported inf (and warned) as the best row
+        expo = quasiarithmetic(make_generator("log", np.exp, np.log))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = kedlaya_estimate(expo, make_sequence("ones"), 2000)
+        assert est.value == pytest.approx(986.508290470738, rel=1e-9)
+        assert est.diagnostics["y_best"] == 512.0
+        assert math.isfinite(est.diagnostics["grid_spread"])
+        assert est.diagnostics["per_y"][-1] == {"y": 1024.0, "finite": False}
+        assert len(est.diagnostics["per_y"]) == 21
+        with pytest.raises(MeanDomainError, match="no y of the grid gives finite terms"):
+            kedlaya_estimate(expo, make_sequence("ones"), 2000, y_grid=(1024.0,))
 
     def test_convergent_weights_refused(self):
         with pytest.raises(HypothesisViolation, match="diverge"):

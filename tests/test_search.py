@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylab.cli import main
-from hardylab.families import make_generator, parse_mean, power, quasiarithmetic
+from hardylab.families import (builtin_generator, make_generator, parse_mean, power,
+                               power_order, quasiarithmetic)
+from hardylab.hardy import finite_lower_bound
 from hardylab.kernel import MeanFlags, MeanSpec, evaluate
 from hardylab.search import (_FLOOR, _MAX_UPDATES, OptimizerConfig, _PrefixEngine,
                              hardy_ratio, maximize_hardy_ratio, prefix_means)
@@ -26,7 +28,7 @@ def brute_ratio(mean, x, w):
 
 MEANS = [
     power(-2), power(0), power(Fraction(1, 2)), power(1), power(2),
-    power(17),  # beyond the raw-power limit, exercises the accumulate path
+    power(17),  # beyond the raw-power limit: a running log-sum-exp
     power(math.inf), power(-math.inf),
     quasiarithmetic(make_generator("log", np.log, np.exp)),
     quasiarithmetic(make_generator("sqrt", np.sqrt, np.square)),
@@ -44,8 +46,8 @@ OPAQUE_ARITH = opaque_mean(
 
 CUBE = quasiarithmetic(make_generator("cube", lambda t: t ** 3, np.cbrt))
 
-# the ascent now serves only quasi-arithmetic and opaque means; candidate()
-# stays exact for the power orders too, which outside the transform mode
+# the ascent serves only user generators and opaque means; candidate()
+# stays exact for the power orders too, which without a transform
 # (power:17, +-inf) it answers by direct evaluation
 CANDIDATE_MEANS = MEANS + [CUBE, OPAQUE_ARITH]
 
@@ -88,16 +90,16 @@ def test_prefix_means_follow_the_kernel_order_policy(p):
 
 @pytest.mark.parametrize("p", POLICY_ORDERS, ids=repr)
 def test_engine_modes(p):
-    eng = _PrefixEngine(power(p), np.ones(3))
-    want = "transform" if abs(p) <= 16 else "accumulate"
-    assert eng.mode == want
+    # orders up to the raw-power limit run on a transform's running sums;
+    # min, max and the log domain have none
+    assert (_PrefixEngine(power(p), np.ones(3)).transform is not None) == (abs(p) <= 16)
 
 
 def test_generic_engine_used_for_opaque_means():
     # a mean with no recognized family falls back to per-prefix evaluation
     w = [1.0, 2.0, 0.5, 1.5]
     x = [3.0, 1.0, 2.0, 0.25]
-    assert _PrefixEngine(OPAQUE_ARITH, w).mode == "generic"
+    assert _PrefixEngine(OPAQUE_ARITH, w).transform is None
     assert hardy_ratio(OPAQUE_ARITH, x, w, dense_check=True) == pytest.approx(
         brute_ratio(OPAQUE_ARITH, x, w), rel=1e-12)
 
@@ -261,6 +263,8 @@ def test_cli_finite_section_in_every_order_regime(capsys, p):
 
 PROPERTY_ORDERS = [-3.0, -1.0, 0.0, 1 / 3, 0.5, 0.9, 1.0, 1.5, 2.0, 3.0,
                    math.inf, -math.inf]
+PROPERTY_MEANS = [power(p) for p in PROPERTY_ORDERS] + [
+    quasiarithmetic(builtin_generator("sqrt"))]
 
 
 def equivalent_user_mean(p):
@@ -279,25 +283,39 @@ def equivalent_user_mean(p):
 
 
 @settings(max_examples=50, deadline=None)
-@given(p=st.sampled_from(PROPERTY_ORDERS),
+@given(mean=st.sampled_from(PROPERTY_MEANS),
        w=st.lists(st.fractions(min_value=Fraction(1, 1000), max_value=1000,
                                max_denominator=1000), min_size=1, max_size=32))
-def test_power_routes_bracket_the_section(p, w):
+def test_power_routes_bracket_the_section(mean, w):
+    p = power_order(mean)
     if math.isinf(p):
         w = w[:8]  # min/max go through direct evaluation in the ascent
     w = [float(v) for v in w]
-    res = maximize_hardy_ratio(power(p), w, OptimizerConfig(starts=2, seed=0))
-    start = hardy_ratio(power(p), 1.0 / np.cumsum(w), w)
+    res = maximize_hardy_ratio(mean, w, OptimizerConfig(starts=2, seed=0))
+    start = hardy_ratio(mean, 1.0 / np.cumsum(w), w)
     assert start <= res.value * (1 + 1e-12)
     assert res.value <= res.upper_section * (1 + 1e-12)
     if p >= 1:  # the vertex route's bound is its best vertex ratio
-        vertices = [brute_ratio(power(p), [1.0 if n == k else 1e-300 for n in range(len(w))], w)
+        vertices = [brute_ratio(mean, [1.0 if n == k else 1e-300 for n in range(len(w))], w)
                     for k in range(len(w))]
         assert res.upper_section == pytest.approx(max(vertices), rel=1e-12)
     ascent = maximize_hardy_ratio(equivalent_user_mean(p), w,
                                   OptimizerConfig(starts=1, seed=0))
     assert ascent.solver == "ascent" and ascent.upper_section is None
     assert ascent.value <= res.upper_section * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("desc", ["ones", "dyadic", "geometric:1/3"])
+@pytest.mark.parametrize("name,p", [("log", 0.0), ("sqrt", 0.5), ("identity", 1.0)])
+def test_builtin_generators_take_their_power_route(name, p, desc):
+    # the built-in generators are the power means of order 0, 1/2 and 1, so
+    # they get the same certified solve, bit for bit, under their own name
+    got = finite_lower_bound(quasiarithmetic(builtin_generator(name)), make_sequence(desc), 64)
+    want = finite_lower_bound(power(p), make_sequence(desc), 64)
+    assert got.mean == f"quasiarithmetic:{name}"
+    assert got.diagnostics["solver"] == want.diagnostics["solver"] != "ascent"
+    assert (got.value, got.witness, got.diagnostics["upper_section"]) == \
+        (want.value, want.witness, want.diagnostics["upper_section"])
 
 
 def golden_two_term(mean, w):
