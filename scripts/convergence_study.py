@@ -19,7 +19,6 @@ import sys
 
 from hardylab.families import parse_mean, power_order
 from hardylab.hardy import copson_constant, finite_lower_bound_sweep
-from hardylab.search import OptimizerConfig
 from hardylab.weights import make_sequence
 
 
@@ -29,8 +28,6 @@ def main() -> int:
     ap.add_argument("--weights", default="dyadic", help="weight descriptor")
     ap.add_argument("--min-n", type=int, default=4)
     ap.add_argument("--max-n", type=int, default=128)
-    ap.add_argument("--starts", type=int, default=4)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     mean = parse_mean(args.mean)
@@ -44,14 +41,13 @@ def main() -> int:
     p = power_order(mean)
     cap = None if p is None else copson_constant(p)
 
-    cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
-    print(f"# mean={mean.name} weights={args.weights} starts={args.starts}")
+    print(f"# mean={mean.name} weights={args.weights}")
     header = f"{'N':>8}  {'lower bound':>20}  {'upper section':>20}  {'gain':>12}"
     if cap is not None and math.isfinite(cap):
         header += f"  {'cap - bound':>14}"
     print(header)
     prev = None
-    for est in finite_lower_bound_sweep(mean, lam, sizes, cfg):
+    for est in finite_lower_bound_sweep(mean, lam, sizes):
         gain = "" if prev is None else f"{est.value - prev:.3e}"
         upper = est.diagnostics["upper_section"]
         upper = "-" if upper is None else f"{upper:.15f}"

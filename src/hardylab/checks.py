@@ -2,16 +2,17 @@
 
 Implements the equal-sum nonincreasing rearrangement (sort, then pour the
 exact Fraction weight masses back into blocks and average), the
-prefix-mean comparison it feeds, the coarsening comparison of arithmetic
-constants at matched truncations, nonincreasing running means of step
-profiles, the perturbed dyadic family's constants, and the sup-at-ones
-cap sweep.
+prefix-mean comparison it feeds, the coarsening comparison at matched
+truncations (exact sums for the arithmetic mean, section certificates for
+other power orders), nonincreasing running means of step profiles, the
+perturbed dyadic family's constants, and the sup-at-ones cap sweep.
 
 Checks that assert a theorem under its hypotheses report pass/fail and a
 signed worst margin (the minimum slack of the asserted inequality;
 negative means violated). When a mean does not claim the hypotheses, the
 same machinery runs as a counterexample search and reports found / not
 found instead, since a random search proves nothing by coming up empty.
+The coarsening comparison refuses such means instead.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .scalars import Number, json_ready
 from .kernel import MeanSpec, StepFunction, WeightVector, evaluate, interval_mean
-from .families import power, power_order
-from .weights import (WeightSeq, _match_partial_sums, is_coarsening_of, make_sequence,
-                      random_rational_sequence)
-from .search import OptimizerConfig
+from .families import parse_mean, power_order
+from .weights import WeightSeq, _match_partial_sums, make_sequence, random_rational_sequence
+from .search import OptimizerConfig, maximize_hardy_ratio
 from . import hardy as _hardy
 
 DEFAULT_MARGIN_TOL = 1e-10
@@ -218,59 +218,64 @@ def jcin_sweep(mean: MeanSpec, trials: int = 200, seed: int = 0, *,
 # ---------------------------------------------------------------------------
 
 
-def verify_cut(mean_or_closed_form: Union[str, MeanSpec], psi: WeightSeq,
-               lam: WeightSeq, N: int, tol: float = 1e-2, *,
-               config: OptimizerConfig = OptimizerConfig()) -> CheckReport:
-    """Coarser weights never raise the constant.
+def verify_cut(mean: Union[str, MeanSpec], psi: WeightSeq, lam: WeightSeq,
+               N: int) -> CheckReport:
+    """Coarser weights never raise the constant (a string mean is a descriptor).
 
-    "arithmetic" mode compares exact partial sums sum psi_m/Psi_m <=
-    sum lam_n/Lam_n at every matched truncation m <= N (margin from the
-    last, pass/fail from all, both exact). A MeanSpec instead runs the
-    finite-section search on both sequences and asserts ordering within
-    tol; that mode is numerical evidence, not proof.
+    Compares the section of psi at m with that of lam at the matched index
+    n_m (equal partial sums) for m = 1..N. The arithmetic mean compares
+    exact partial sums of lam_n/Lam_n. Other power orders bound the slack
+    at m by [value(lam, n_m) - upper(psi, m), upper(lam, n_m) - value(psi,
+    m)], or 0 for identical prefixes: pass if every lower end is >= 0, fail
+    if an upper end is < 0 (margin: the least end that decides), else
+    inconclusive, as for means with no order: two lower bounds decide nothing.
     """
     if N < 1:
         raise ValueError("need N >= 1")
-    if isinstance(mean_or_closed_form, str):
-        if mean_or_closed_form not in ("arithmetic", "power:1"):
-            raise ValueError(
-                f"unknown closed form {mean_or_closed_form!r}; expected 'arithmetic'")
-        ns = _match_partial_sums(psi, lam, N)
-        if ns is None:
-            raise _hardy.HypothesisViolation(
-                f"{psi.descriptor} is not a coarsening of {lam.descriptor}: "
-                "a partial sum falls between consecutive partial sums")
-        coarse = list(accumulate(_hardy._term_ratios(psi, N)))
-        fine_sums = list(accumulate(_hardy._term_ratios(lam, ns[-1])))
-        fine = [fine_sums[n - 1] for n in ns]
-        slack = [f - c for f, c in zip(fine, coarse)]
-        k = min(range(N), key=slack.__getitem__)  # the first truncation of least slack
-        ok = slack[k] >= 0
-        return CheckReport(
-            check="cut", passed=ok, outcome="pass" if ok else "fail",
-            instances=N, margin=float(slack[k]),
-            witness={"truncation": k + 1, "matched_fine_index": ns[k],
-                     "coarse_sum": coarse[k], "fine_sum": fine[k], "slack": slack[k]},
-            details={"mode": "arithmetic-exact", "psi": psi.descriptor,
-                     "lam": lam.descriptor, "matched_indices": ns[:32]})
-    mean = mean_or_closed_form
-    if not (mean.flags.monotone and mean.flags.concave):
+    mean = parse_mean(mean) if isinstance(mean, str) else mean
+    if not (mean.flags.monotone and mean.flags.concave and mean.flags.continuous_in_weights):
         raise _hardy.HypothesisViolation(
             f"{mean.name}: the coarsening comparison claims monotone concave "
-            "means only")
-    if not is_coarsening_of(psi, lam, min(N, 64)):
+            "means continuous in their weights only")
+    ns = _match_partial_sums(psi, lam, N)
+    if ns is None:
         raise _hardy.HypothesisViolation(
-            f"{psi.descriptor} is not a prefix-certified coarsening of {lam.descriptor}")
-    lo_psi = _hardy.finite_lower_bound(mean, psi, N, config)
-    lo_lam = _hardy.finite_lower_bound(mean, lam, N, config)
-    margin = lo_lam.value + tol - lo_psi.value
-    ok = margin >= 0
+            f"{psi.descriptor} is not a coarsening of {lam.descriptor}: "
+            "a partial sum falls between consecutive partial sums")
+    p = power_order(mean)
+    if p is None:
+        raise _hardy.InconclusiveError(f"{mean.name} has no section certificate")
+    if p == 1:
+        mode = "arithmetic-exact"
+        coarse = list(accumulate(_hardy._term_ratios(psi, N)))
+        fine = list(accumulate(_hardy._term_ratios(lam, ns[-1])))
+        rows = [{"coarse_sum": c, "fine_sum": fine[n - 1]} for c, n in zip(coarse, ns)]
+        lo = hi = [r["fine_sum"] - r["coarse_sum"] for r in rows]
+    else:
+        mode, rows, lo, hi = "certified-sections", [], [], []
+        w_psi, w_lam = psi.terms_floats(N), lam.terms_floats(ns[-1])
+        for m, n in enumerate(ns, 1):
+            c = maximize_hardy_ratio(mean, w_psi[:m])
+            f = c if n == m else maximize_hardy_ratio(mean, w_lam[:n])
+            rows.append({"coarse_value": c.value, "coarse_upper": c.upper_section,
+                         "fine_value": f.value, "fine_upper": f.upper_section})
+            lo.append(0.0 if f is c else f.value - c.upper_section)
+            hi.append(0.0 if f is c else f.upper_section - c.value)
+    if min(lo) < 0 <= min(hi):
+        k = lo.index(min(lo))
+        raise _hardy.InconclusiveError(
+            f"{mean.name}: the certificates bound the slack at truncation {k + 1} "
+            f"by [{float(lo[k])!r}, {float(hi[k])!r}] only")
+    ok = min(lo) >= 0
+    slack = lo if ok else hi
+    k = slack.index(min(slack))  # the first truncation of least slack
     return CheckReport(
         check="cut", passed=ok, outcome="pass" if ok else "fail",
-        instances=1, margin=float(lo_lam.value - lo_psi.value),
-        witness={"coarse_bound": lo_psi.value, "fine_bound": lo_lam.value},
-        details={"mode": "finite-section", "mean": mean.name, "tol": tol,
-                 "psi": psi.descriptor, "lam": lam.descriptor, "N": N})
+        instances=N, margin=float(slack[k]),
+        witness={"truncation": k + 1, "matched_fine_index": ns[k], **rows[k],
+                 "slack": slack[k]},
+        details={"mode": mode, "mean": mean.name, "psi": psi.descriptor,
+                 "lam": lam.descriptor, "matched_indices": ns[:32]})
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,14 @@ Usage shape:
 Exit codes: 0 success or pass (counterexample searches and exploratory
 runs are informational and always 0 unless they error), 1 a verified
 claim failed, 2 usage error, 3 a route's preconditions or a mean's
-domain were violated.
+domain were violated, or a check's certificates do not decide it.
 
 Output is deterministic for a fixed argv and seed: JSON has sorted keys,
 a "schema" tag and no timestamps; rational values print as "p/q". Number
 literals on the command line parse exactly unless --float is given;
 --tol and --window are floats either way (a tolerance finite and >= 0),
-and --N, --trials and --starts whole numbers >= 1.
+and --N, --trials and --starts (estimate and explore continuity only)
+whole numbers >= 1.
 """
 
 from __future__ import annotations
@@ -272,12 +273,9 @@ def _cmd_verify_cut(args) -> Rendered:
     n_terms = args.N if args.N is not None else len(blocks)
     if n_terms > len(blocks):
         raise ValueError("--N asks for more truncations than --blocks covers")
-    psi = coarsen(lam, blocks)
-    target = args.mean if args.mean in ("arithmetic", "power:1") else parse_mean(args.mean)
-    cfg_opt = OptimizerConfig(starts=args.starts, seed=args.seed)
-    rep = verify_cut(target, psi, lam, n_terms, tol=args.tol, config=cfg_opt)
+    rep = verify_cut(parse_mean(args.mean), coarsen(lam, blocks), lam, n_terms)
     cfg = {"mean": args.mean, "weights": args.weights, "blocks": args.blocks,
-           "N": n_terms, "tol": args.tol, "seed": args.seed}
+           "N": n_terms}
     return Rendered(_check_exit(rep), "verify-cut", cfg, rep.to_json(),
                     _verdict_text(rep))
 
@@ -309,9 +307,8 @@ def _cmd_verify_lsc(args) -> Rendered:
 def _cmd_verify_mu1(args) -> Rendered:
     mean = parse_mean(args.mean)
     cap = float(_parse_one(args.cap, args.float, "--cap")) if args.cap is not None else None
-    cfg_opt = OptimizerConfig(starts=args.starts, seed=args.seed)
     rep = mu1_sweep(mean, trials=args.trials, N=args.N, seed=args.seed,
-                    cap=cap, tol=args.tol, config=cfg_opt)
+                    cap=cap, tol=args.tol)
     cfg = {"mean": args.mean, "trials": args.trials, "N": args.N,
            "seed": args.seed, "cap": args.cap, "tol": args.tol}
     return Rendered(_check_exit(rep), "verify-mu1-sweep", cfg, rep.to_json(),
@@ -452,17 +449,15 @@ def build_parser() -> argparse.ArgumentParser:
         "cut",
         help="coarsening comparison",
         description="Summing consecutive weight blocks never raises the "
-                    "constant: exact partial-sum comparison at matched "
-                    "truncations for the arithmetic mean, finite-section "
-                    "ordering within --tol for other means.")
+                    "constant, compared at matched truncations: exact "
+                    "partial sums for the arithmetic mean, certified "
+                    "finite-section bounds for other power orders (exit 3 "
+                    "where they do not decide).")
     vc.add_argument("--mean", default="arithmetic")
     vc.add_argument("--weights", required=True)
     vc.add_argument("--blocks", required=True,
                     help="uniform block size, or a comma list of leading sizes")
     vc.add_argument("--N", type=_count, help="number of coarse truncations to check")
-    vc.add_argument("--tol", type=_tolerance, default=1e-2)
-    vc.add_argument("--seed", type=int, default=0)
-    vc.add_argument("--starts", type=_count, default=4, help=STARTS_HELP)
     _add_common(vc)
     vc.set_defaults(handler=_cmd_verify_cut)
 
@@ -503,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     vm.add_argument("--seed", type=int, default=0)
     vm.add_argument("--cap", help="override the closed-form cap")
     vm.add_argument("--tol", type=_tolerance, default=1e-3)
-    vm.add_argument("--starts", type=_count, default=4, help=STARTS_HELP)
     _add_common(vm)
     vm.set_defaults(handler=_cmd_verify_mu1)
 

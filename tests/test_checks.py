@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardylab import checks
 from hardylab.checks import (equal_sum_rearrangement, jcin_sweep,
                              lsc_example_table, mu1_sweep, verify_cut,
                              verify_decreasing, verify_jcin)
-from hardylab.families import power
-from hardylab.hardy import HypothesisViolation
-from hardylab.kernel import StepFunction, evaluate, step_profile
-from hardylab.search import OptimizerConfig
-from hardylab.weights import coarsen, make_sequence
+from hardylab.families import make_generator, power, quasiarithmetic
+from hardylab.hardy import HypothesisViolation, InconclusiveError
+from hardylab.kernel import MeanFlags, StepFunction, evaluate, step_profile
+from hardylab.search import OptimizerConfig, SearchResult
+from hardylab.weights import coarsen, make_sequence, random_rational_sequence
 
 SMALL = OptimizerConfig(starts=3, seed=0)
 
@@ -200,27 +201,77 @@ class TestCut:
                        make_sequence("ones"), 3)
 
     def test_unknown_closed_form_name(self):
-        with pytest.raises(ValueError, match="closed form"):
+        # a string is a mean descriptor, read by families.parse_mean
+        with pytest.raises(ValueError, match="unknown mean descriptor"):
             verify_cut("harmonic", make_sequence("ones"),
                        make_sequence("ones"), 2)
 
     def test_mean_mode_orders_finite_sections(self):
         lam = make_sequence("ones")
         psi = coarsen(lam, [2] * 16)
-        rep = verify_cut(power(0.5), psi, lam, 32, config=SMALL)
-        assert rep.passed
-        assert rep.details["mode"] == "finite-section"
-        assert rep.witness["coarse_bound"] <= rep.witness["fine_bound"] + 1e-2
+        rep = verify_cut(power(0.5), psi, lam, 32)
+        assert rep.passed and rep.margin >= 0
+        assert rep.details["mode"] == "certified-sections"
+        w = rep.witness
+        assert w["fine_value"] - w["coarse_upper"] == rep.margin
+        assert w["coarse_value"] <= w["coarse_upper"]
+        assert w["fine_value"] <= w["fine_upper"]
+
+    @pytest.mark.parametrize("p", [0.5, 0.0, -2.0])
+    def test_random_coarsenings_certified_at_matched_truncations(self, p):
+        # solving both sequences at the same N failed 21 of these 40 cases
+        # at p = 1/2 (seed 0 by 0.17): N coarse terms cover more weight
+        # than N fine ones
+        for s in range(40):
+            lam = random_rational_sequence(s)
+            rng = random.Random(s)
+            psi = coarsen(lam, [rng.randint(1, 6) for _ in range(12)])
+            rep = verify_cut(power(p), psi, lam, 12)
+            assert rep.passed and rep.margin >= 0, (s, rep.margin)
+            assert rep.details["mode"] == "certified-sections"
+
+    def test_section_solves_decide_pass_fail_or_nothing(self, monkeypatch):
+        # coarse section [2] against fine section [1, 1]; the stub hands out
+        # (value, upper_section) by section length
+        def stub(bounds):
+            def solve(mean, w):
+                value, upper = bounds[len(w)]
+                return SearchResult(value=value, witness=tuple(1.0 / w), converged=True,
+                                    n_updates=0, start_values=(value,), solver="stub",
+                                    iterations=0, upper_section=upper)
+            return solve
+
+        lam = make_sequence("ones")
+        psi = coarsen(lam, [2])
+        monkeypatch.setattr(checks, "maximize_hardy_ratio", stub({1: (1.0, 1.5), 2: (0.5, 0.8)}))
+        rep = verify_cut(power(0.5), psi, lam, 1)
+        assert rep.outcome == "fail" and rep.margin == pytest.approx(-0.2)
+        assert rep.witness["slack"] == rep.margin
+        monkeypatch.setattr(checks, "maximize_hardy_ratio", stub({1: (1.0, 1.2), 2: (1.1, 1.3)}))
+        with pytest.raises(InconclusiveError, match="truncation 1"):
+            verify_cut(power(0.5), psi, lam, 1)
+
+    def test_mean_without_an_order_is_inconclusive(self):
+        cube = make_generator("cube", lambda t: t ** 3, lambda t: t ** (1 / 3))
+        claimed = MeanFlags(symmetric=True, monotone=True, concave=True)
+        lam = make_sequence("ones")
+        with pytest.raises(InconclusiveError, match="no section certificate"):
+            verify_cut(quasiarithmetic(cube, claimed), coarsen(lam, [2]), lam, 2)
+
+    def test_mean_mode_requires_continuity_in_weights(self):
+        lam = make_sequence("ones")
+        with pytest.raises(HypothesisViolation, match="continuous"):
+            verify_cut(power(-math.inf), coarsen(lam, [2]), lam, 3)
 
     def test_mean_mode_requires_concavity_claim(self):
         lam = make_sequence("ones")
         with pytest.raises(HypothesisViolation, match="concave"):
-            verify_cut(power(2), coarsen(lam, [2]), lam, 4, config=SMALL)
+            verify_cut(power(2), coarsen(lam, [2]), lam, 4)
 
     def test_mean_mode_requires_coarsening_certificate(self):
-        with pytest.raises(HypothesisViolation):
+        with pytest.raises(HypothesisViolation, match="not a coarsening"):
             verify_cut(power(0.5), make_sequence("geometric:1/3"),
-                       make_sequence("ones"), 8, config=SMALL)
+                       make_sequence("ones"), 8)
 
 
 class TestDecreasing:

@@ -197,6 +197,34 @@ class TestVerifySubcommands:
         assert code == 3
         assert "concave" in err or "coarsening" in err
 
+    def test_cut_refuses_min_as_discontinuous_in_weights(self, capsys):
+        code, _, err = run(capsys, "verify", "cut", "--weights", "ones",
+                           "--blocks", "2", "--N", "3", "--mean", "power:-inf")
+        assert code == 3
+        assert "continuous in their weights" in err
+
+    def test_cut_identity_generator_is_the_exact_route(self, capsys):
+        argv = ("verify", "cut", "--weights", "geometric:1/2", "--blocks", "2,3,1",
+                "--format", "json")
+        reports = []
+        for mean in ("quasiarithmetic:identity", "arithmetic"):
+            code, out, _ = run(capsys, *argv, "--mean", mean)
+            assert code == 0
+            reports.append(json.loads(out)["report"])
+        ident, arith = reports
+        assert ident["details"]["mode"] == "arithmetic-exact"
+        for key in ("passed", "margin", "witness"):
+            assert ident[key] == arith[key]
+
+    def test_cut_certified_sections(self, capsys):
+        code, out, _ = run(capsys, "verify", "cut", "--mean", "power:1/2",
+                           "--weights", "ones", "--blocks", "2", "--N", "3",
+                           "--format", "json")
+        assert code == 0
+        rep = json.loads(out)["report"]
+        assert rep["details"]["mode"] == "certified-sections"
+        assert rep["passed"] is True and rep["margin"] >= 0
+
     def test_decreasing_pass_and_refusal(self, capsys):
         code, out, _ = run(capsys, "verify", "decreasing", "--mean",
                            "arithmetic", "--x", "4,2,1", "--w", "1,1,1",
@@ -227,14 +255,14 @@ class TestVerifySubcommands:
     def test_mu1_sweep_low_cap_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "mu1-sweep", "--mean",
                            "power:1/2", "--trials", "2", "--N", "16",
-                           "--cap", "1", "--starts", "3", "--format", "json")
+                           "--cap", "1", "--format", "json")
         assert code == 1
         assert json.loads(out)["report"]["outcome"] == "fail"
 
     def test_mu1_sweep_small_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "mu1-sweep", "--mean",
                            "power:1/2", "--trials", "2", "--N", "16",
-                           "--starts", "3", "--format", "json")
+                           "--format", "json")
         assert code == 0
         assert json.loads(out)["report"]["passed"] is True
 
@@ -361,8 +389,7 @@ class TestPlumbing:
          "--tol", "nan"),
         ("verify", "jcin", "--mean", "power:1/2", "--x", "3,1", "--w", "1,1",
          "--tol", "nan"),
-        ("verify", "cut", "--mean", "power:1/2", "--weights", "ones", "--blocks", "2",
-         "--N", "3", "--tol", "-1"),
+        ("verify", "cut", "--weights", "ones", "--blocks", "2,3", "--N", "3"),
         ("verify", "decreasing", "--mean", "arithmetic", "--x", "4,2,1", "--w", "1,1,1",
          "--grid", "1,2,3", "--tol", "inf"),
         ("verify", "axioms", "--mean", "power:1/2", "--trials", "0"),

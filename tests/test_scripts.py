@@ -14,7 +14,7 @@ def run_script(name, *args):
 
 
 def test_convergence_study_bounds_grow_with_the_section():
-    proc = run_script("convergence_study.py", "--max-n", "16", "--starts", "2")
+    proc = run_script("convergence_study.py", "--max-n", "16")
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()
             if line.strip() and not line.startswith("#")][1:]  # skip the header
