@@ -10,7 +10,8 @@ Usage shape:
 Exit codes: 0 success or pass (counterexample searches and exploratory
 runs are informational and always 0 unless they error), 1 a verified
 claim failed, 2 usage error, 3 a route's preconditions or a mean's
-domain were violated, or a check's certificates do not decide it.
+domain were violated, or a check's certificates do not decide it, 4 an
+unexpected fault of the program (one line, no traceback).
 
 Output is deterministic for a fixed argv and seed: JSON has sorted keys,
 a "schema" tag and no timestamps; rational values print as "p/q". Number
@@ -533,6 +534,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"hardy: {exc}", file=sys.stderr)
         print("run 'hardy <command> --help' for usage", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program: one line, no traceback
+        print(f"hardy: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     return _write(args, rendered)
 
 

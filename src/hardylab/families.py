@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,15 +45,25 @@ def order_regime(p: float) -> str:
     return "raw" if abs(p) <= RAW_POWER_LIMIT else "log"
 
 
-def _normalized_weights(w) -> list:
-    """Weights scaled to unit total, exactly in rational mode so that
-    rescaling the weight vector cancels exactly."""
-    entries = WeightVector.of(w).entries
+def _normalized_weights(entries: tuple) -> list:
+    """Checked weight entries (positive, finite where floats; see
+    kernel.MeanSpec) scaled to unit total, exactly in rational mode so
+    that rescaling the weight vector cancels exactly."""
     total = sum(entries)
     if all_exact(entries):
         return [float(Fraction(e) / total) for e in entries]
     ft = float(total)
     return [float(e) / ft for e in entries]
+
+
+def _checked_input(x, w) -> Tuple[tuple, list]:
+    """Raw points and weights checked as kernel.evaluate checks them
+    (points first here), with the weights normalized."""
+    xs = _validate_points(x)
+    nw = _normalized_weights(WeightVector.of(w).entries)
+    if len(xs) != len(nw):
+        raise ValueError(f"length mismatch: {len(xs)} points vs {len(nw)} weights")
+    return xs, nw
 
 
 def power_mean(p: float, x, w) -> float:
@@ -63,11 +73,16 @@ def power_mean(p: float, x, w) -> float:
     order_regime for the cutoffs. The result is clamped into [min x, max x];
     the clamp only ever corrects float rounding, since containment is
     guaranteed mathematically.
+
+    Checks x and w as kernel.evaluate does, for callers with raw input;
+    the power(p) spec skips that and runs the same arithmetic on the
+    tuples evaluate has checked.
     """
-    xs = _validate_points(x)
-    nw = _normalized_weights(w)
-    if len(xs) != len(nw):
-        raise ValueError(f"length mismatch: {len(xs)} points vs {len(nw)} weights")
+    return _power_mean(p, *_checked_input(x, w))
+
+
+def _power_mean(p: float, xs: tuple, nw: list) -> float:
+    """power_mean of checked points with normalized weights."""
     p = float(p)
     if math.isnan(p):
         raise MeanDomainError("power order must not be NaN")
@@ -118,7 +133,7 @@ def power(p: float, flags: Optional[MeanFlags] = None) -> MeanSpec:
         family="power",
         params=p,
         flags=flags,
-        fn=lambda xs, ws: power_mean(p, xs, ws),
+        fn=lambda xs, ws: _power_mean(p, xs, _normalized_weights(ws)),
         name=f"power:{format_number(p)}",
     )
 
@@ -179,12 +194,15 @@ def quasiarithmetic_mean(gen: GeneratorHandle, x, w) -> float:
     """Quasi-arithmetic mean: inverse(sum w_i * forward(x_i) / sum w).
 
     The result is not clamped, so a broken generator stays visible to the
-    mean-value check.
+    mean-value check. Checks x and w as kernel.evaluate does, for callers
+    with raw input; the quasiarithmetic(gen) spec skips that and runs the
+    same arithmetic on the tuples evaluate has checked.
     """
-    xs = _validate_points(x)
-    nw = _normalized_weights(w)
-    if len(xs) != len(nw):
-        raise ValueError(f"length mismatch: {len(xs)} points vs {len(nw)} weights")
+    return _quasiarithmetic_mean(gen, *_checked_input(x, w))
+
+
+def _quasiarithmetic_mean(gen: GeneratorHandle, xs: tuple, nw: list) -> float:
+    """quasiarithmetic_mean of checked points with normalized weights."""
     if len(xs) == 1:
         return xs[0]
     try:
@@ -216,7 +234,7 @@ def quasiarithmetic(gen: GeneratorHandle, flags: Optional[MeanFlags] = None) -> 
         family="quasiarithmetic",
         params=gen,
         flags=flags,
-        fn=lambda xs, ws: quasiarithmetic_mean(gen, xs, ws),
+        fn=lambda xs, ws: _quasiarithmetic_mean(gen, xs, _normalized_weights(ws)),
         name=f"quasiarithmetic:{gen.name}",
     )
 

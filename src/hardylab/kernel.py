@@ -44,9 +44,12 @@ class MeanFlags:
 class MeanSpec:
     """A weighted mean M(x, w) of positive entries with positive weights.
 
-    `fn` receives the raw point and weight sequences and owns weight
-    normalization itself; the kernel deliberately does not normalize, so
-    scaling defects in a mean stay observable to the axiom checks.
+    `fn` is called only by evaluate(), which checks the inputs first: it
+    receives a nonempty tuple of positive finite floats and an equally
+    long tuple of the caller's weights, each positive and, if a float,
+    finite. It owns weight normalization itself; the kernel deliberately
+    does not normalize, so scaling defects in a mean stay observable to
+    the axiom checks.
     """
 
     family: str
@@ -70,11 +73,7 @@ class WeightVector:
     entries: Tuple[Number, ...]
 
     def __post_init__(self):
-        if len(self.entries) == 0:
-            raise ValueError("weight vector needs at least one entry")
-        for w in self.entries:
-            if not (w > 0 and (not isinstance(w, float) or math.isfinite(w))):
-                raise ValueError(f"weights must be strictly positive and finite, got {w!r}")
+        _check_weights(self.entries)
 
     @staticmethod
     def of(w) -> "WeightVector":
@@ -101,28 +100,50 @@ class WeightVector:
         return iter(self.entries)
 
 
+def _check_weights(ws: tuple) -> None:
+    """Every weight positive, and finite where it is a float; exact
+    weights of any size pass (math.isfinite would overflow on them)."""
+    if not ws:
+        raise ValueError("weight vector needs at least one entry")
+    try:  # one pass each in C; the loop below is the definition
+        if min(ws) > 0 and all(map(math.isfinite, ws)):
+            return
+    except (TypeError, ValueError, OverflowError):
+        pass
+    for w in ws:
+        if not (w > 0 and (not isinstance(w, float) or math.isfinite(w))):
+            raise ValueError(f"weights must be strictly positive and finite, got {w!r}")
+
+
 def _validate_points(x) -> Tuple[float, ...]:
-    xs = tuple(float(v) for v in x)
+    xs = tuple(map(float, x))
     if not xs:
         raise ValueError("point vector needs at least one entry")
-    for v in xs:
-        if not (v > 0 and math.isfinite(v)):
-            raise ValueError(f"point entries must be strictly positive and finite, got {v!r}")
+    if not (min(xs) > 0 and all(map(math.isfinite, xs))):
+        for v in xs:  # name the first offending entry
+            if not (v > 0 and math.isfinite(v)):
+                raise ValueError(f"point entries must be strictly positive and finite, got {v!r}")
     return xs
 
 
 def evaluate(mean: MeanSpec, x, w) -> float:
     """Evaluate a mean at points x with weights w.
 
-    Raises on length mismatch or nonpositive entries. For a well-formed
-    mean the result lies in [min x, max x] and is invariant under positive
-    scaling of w (exactly so in exact-rational weight mode).
+    The one place where a mean's inputs are checked: raises on empty
+    inputs, length mismatch, and nonpositive or non-finite entries, then
+    hands mean.fn the checked tuples. For a well-formed mean the result
+    lies in [min x, max x] and is invariant under positive scaling of w
+    (exactly so in exact-rational weight mode).
     """
-    wv = WeightVector.of(w)
+    if isinstance(w, WeightVector):
+        ws = w.entries
+    else:
+        ws = tuple(w)
+        _check_weights(ws)
     xs = _validate_points(x)
-    if len(xs) != len(wv):
-        raise ValueError(f"length mismatch: {len(xs)} points vs {len(wv)} weights")
-    return float(mean.fn(xs, wv.entries))
+    if len(xs) != len(ws):
+        raise ValueError(f"length mismatch: {len(xs)} points vs {len(ws)} weights")
+    return float(mean.fn(xs, ws))
 
 
 def shuffle(p: Sequence, q: Sequence) -> tuple:
@@ -381,8 +402,15 @@ def replay_axiom(mean: MeanSpec, axiom: str, witness: dict, tol: float = DEFAULT
     return _MEASURES[axiom](mean, witness, tol)
 
 
-def _rand_positive(rng, lo=0.1, hi=10.0):
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+# log-uniform ranges (log lo, log hi) of the random witnesses: entries and
+# weights, scale factors, monotonicity bumps
+_ENTRY_LOGS = (math.log(0.1), math.log(10.0))
+_SCALE_LOGS = (math.log(1e-3), math.log(1e3))
+_BUMP_LOGS = (math.log(0.01), math.log(5.0))
+
+
+def _rand_positive(rng, logs=_ENTRY_LOGS):
+    return math.exp(rng.uniform(*logs))
 
 
 def _rand_instance(rng, nmin=1, nmax=6):
@@ -400,7 +428,7 @@ def _make_witness(axiom, rng):
     x, w = _rand_instance(rng)
     wit = {"x": x, "w": w}
     if axiom == "nullhomogeneity":
-        wit["t"] = _rand_positive(rng, 1e-3, 1e3)
+        wit["t"] = _rand_positive(rng, _SCALE_LOGS)
     elif axiom == "elimination":
         wit["z"] = _rand_positive(rng)
     elif axiom == "symmetric":
@@ -409,11 +437,11 @@ def _make_witness(axiom, rng):
         wit["perm"] = perm
     elif axiom == "monotone":
         wit["j"] = rng.randrange(len(x))
-        wit["delta"] = _rand_positive(rng, 0.01, 5.0)
+        wit["delta"] = _rand_positive(rng, _BUMP_LOGS)
     elif axiom == "concave":
         wit["y"] = [_rand_positive(rng) for _ in x]
     elif axiom == "homogeneous":
-        wit["t"] = _rand_positive(rng, 1e-3, 1e3)
+        wit["t"] = _rand_positive(rng, _SCALE_LOGS)
     return wit
 
 

@@ -5,7 +5,7 @@ literals ("p/q", decimals, "inf")."""
 from __future__ import annotations
 
 import math
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from numbers import Rational
 from typing import Any, Iterable, Sequence, Union
@@ -19,7 +19,7 @@ def is_exact(value: Any) -> bool:
 
 
 def all_exact(values: Sequence) -> bool:
-    return all(is_exact(v) for v in values)
+    return all(map(is_exact, values))
 
 
 def exact_sum(values: Iterable[Number]) -> Number:
@@ -71,11 +71,44 @@ def parse_float(text: str) -> float:
         raise ValueError(f"{text.strip()!r} is beyond the float range") from None
 
 
+# _digits converts integers up to this many bits with Decimal(n), whose
+# cost grows quadratically with the size, and splits larger ones
+_DIGITS_SPLIT_BITS = 2048
+# integer arithmetic in Decimal without rounding (Inexact would raise)
+_EXACT_DECIMAL = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+
+
 def _digits(n: int) -> str:
-    """Decimal digits of an integer of any size. str() refuses integers
-    beyond sys.get_int_max_str_digits(), a process-wide limit; Decimal
-    converts without it."""
-    return str(Decimal(n))
+    """Decimal digits of an integer of any size.
+
+    str() refuses integers beyond sys.get_int_max_str_digits(), a
+    process-wide limit, and both it and Decimal(n) take time quadratic in
+    the number of digits on Python 3.11. So n is split in halves on its
+    bits, recursively down to _DIGITS_SPLIT_BITS, and each pair of halves
+    is joined as hi * 2**k + lo in exact Decimal arithmetic, whose
+    multiplication is subquadratic; the powers of two are built once per
+    call.
+    """
+    if n < 0:
+        return "-" + _digits(-n)
+    ctx = _EXACT_DECIMAL
+    powers = {}
+
+    def two_to(k: int) -> Decimal:
+        if k not in powers:
+            powers[k] = (Decimal(1 << k) if k <= _DIGITS_SPLIT_BITS
+                         else ctx.multiply(two_to(k >> 1), two_to(k - (k >> 1))))
+        return powers[k]
+
+    def convert(m: int, bits: int) -> Decimal:
+        if bits <= _DIGITS_SPLIT_BITS:
+            return Decimal(m)
+        k = bits >> 1
+        hi = m >> k
+        return ctx.add(ctx.multiply(convert(hi, bits - k), two_to(k)),
+                       convert(m - (hi << k), k))
+
+    return str(convert(n, n.bit_length()))
 
 
 def format_number(value: Number) -> str:

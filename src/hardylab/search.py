@@ -283,8 +283,9 @@ def hardy_ratio(mean: MeanSpec, x: Sequence[float], w: Sequence[float], *,
     x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
     mn = prefix_means(mean, x, w)
     idx = range(len(w)) if dense_check else sorted({0, len(w) // 2, len(w) - 1})
+    xl, wl = x.tolist(), w.tolist()
     for k in idx:
-        direct = evaluate(mean, list(x[: k + 1]), list(w[: k + 1]))
+        direct = evaluate(mean, xl[: k + 1], wl[: k + 1])
         fast = float(mn[k])
         if abs(fast - direct) > 1e-8 * max(1.0, abs(direct)):
             raise AssertionError(

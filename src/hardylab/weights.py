@@ -18,6 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .kernel import MeanDomainError
 from .scalars import Number, exact_ratio, format_number, is_exact, json_ready, parse_number
 
 # exact ratio diagnostics above this many terms would drag big-integer
@@ -105,15 +106,19 @@ class WeightSeq:
     # -- float views for array computations ----------------------------------
 
     def terms_floats(self, n: int) -> np.ndarray:
+        """The first n terms as floats; terms that leave the float range
+        are a domain error of the float routes, not a usage error."""
         tf = self._term_float or (lambda k: float(self.term(k)))
         try:
             arr = np.array([tf(k) for k in range(1, n + 1)], dtype=float)
         except OverflowError:
-            raise ValueError(f"{self.descriptor}: terms overflow float range before n={n}") from None
+            raise MeanDomainError(
+                f"{self.descriptor}: terms overflow float range before n={n}") from None
         if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{self.descriptor}: terms overflow float range before n={n}")
+            raise MeanDomainError(f"{self.descriptor}: terms overflow float range before n={n}")
         if not np.all(arr > 0):
-            raise ValueError(f"{self.descriptor}: terms underflow to zero in float mode before n={n}")
+            raise MeanDomainError(
+                f"{self.descriptor}: terms underflow to zero in float mode before n={n}")
         return arr
 
     def partial_sums_floats(self, n: int) -> np.ndarray:

@@ -423,3 +423,29 @@ class TestPlumbing:
                 main(argv)
             assert exc.value.code == 0
             assert "usage" in capsys.readouterr().out.lower()
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "cut", "--mean", "power:1/2", "--weights", "geometric:1/1000",
+         "--blocks", "2", "--N", "120"),
+        ("estimate", "--method", "finite", "--mean", "power:1/2",
+         "--weights", "geometric:1/1000", "--N", "120"),
+    ])
+    def test_float_underflow_is_a_domain_error(self, capsys, argv):
+        # well-formed argv whose weights underflow in float mode: exit 3,
+        # not the usage error 2
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "underflow" in err
+        assert "usage" not in err
+
+    def test_unexpected_errors_exit_four_in_one_line(self, capsys, monkeypatch):
+        import hardylab.cli as cli
+
+        def broken(args):
+            raise OverflowError("int too large to convert to float")
+        monkeypatch.setattr(cli, "_cmd_constant", broken)
+        code, out, err = run(capsys, "constant", "--copson", "1/2")
+        assert code == 4
+        assert out == ""
+        assert err == "hardy: internal error: OverflowError: int too large to convert to float\n"

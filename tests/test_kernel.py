@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +9,13 @@ from hypothesis import strategies as st
 from hardylab.kernel import (MeanFlags, MeanSpec, StepFunction, WeightVector,
                              check_axioms, evaluate, interval_mean,
                              replay_axiom, shuffle, step_profile)
-from hardylab.families import parse_mean, power
+from hardylab.families import (make_generator, order_regime, parse_mean, power,
+                               power_mean, quasiarithmetic, quasiarithmetic_mean)
 
 ARITH = parse_mean("arithmetic")
+# two or more orders in each families.order_regime
+ORDERS_BY_REGIME = [-math.inf, -1e9, 1e9, math.inf, 0.0, 1e-9, -1e-9, 1e-3, -5e-3,
+                    0.5, 1.0, -3.0, 16.0, 17.0, -100.0]
 
 rationals = st.fractions(min_value=Fraction(1, 50), max_value=Fraction(50))
 small_lists = st.integers(min_value=1, max_value=6)
@@ -44,6 +49,98 @@ class TestEvaluate:
         base = evaluate(ARITH, x, w)
         scaled = evaluate(ARITH, x, [Fraction(7, 3) * v for v in w])
         assert base == scaled  # bit-for-bit, not approx
+
+
+CUBE = make_generator("cube", lambda t: t ** 3, np.cbrt)
+
+# the four public ways in that check a point or weight vector, each
+# raising the same type and message on the same defect
+ENTRY_POINTS = {
+    "evaluate": lambda x, w: evaluate(power(0.5), x, w),
+    "evaluate-generator": lambda x, w: evaluate(quasiarithmetic(CUBE), x, w),
+    "power_mean": lambda x, w: power_mean(0.5, x, w),
+    "quasiarithmetic_mean": lambda x, w: quasiarithmetic_mean(CUBE, x, w),
+    "step_profile": step_profile,
+}
+POINT_MSG = "point entries must be strictly positive and finite, got "
+WEIGHT_MSG = "weights must be strictly positive and finite, got "
+# (x, w, message): one defect each, so every entry point names it
+REJECTED = [
+    ([1, math.nan], [1, 1], POINT_MSG + "nan"),
+    ([math.inf, 1], [1, 1], POINT_MSG + "inf"),
+    ([1, -math.inf], [1, 1], POINT_MSG + "-inf"),
+    ([0, 1], [1, 1], POINT_MSG + "0.0"),
+    ([2, -1], [1, 1], POINT_MSG + "-1.0"),
+    ([], [1], "point vector needs at least one entry"),
+    ([1, 2], [1, math.nan], WEIGHT_MSG + "nan"),
+    ([1, 2], [math.inf, 1], WEIGHT_MSG + "inf"),
+    ([1, 2], [1, -math.inf], WEIGHT_MSG + "-inf"),
+    ([1, 2], [1, 0], WEIGHT_MSG + "0"),
+    ([1, 2], [0.0, 1], WEIGHT_MSG + "0.0"),
+    ([1, 2], [-2, 1], WEIGHT_MSG + "-2"),
+    ([1, 2], [Fraction(-1, 2), 1], WEIGHT_MSG + "Fraction(-1, 2)"),
+    ([1], [], "weight vector needs at least one entry"),
+    ([1, 2], [1], "length mismatch: 2 points vs 1 weights"),
+    ([1], [1, Fraction(1, 2)], "length mismatch: 1 points vs 2 weights"),
+]
+
+
+class TestOneBoundaryCheck:
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("x, w, message", REJECTED)
+    def test_rejections_keep_type_and_message(self, name, x, w, message):
+        with pytest.raises(ValueError) as exc:
+            ENTRY_POINTS[name](x, w)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("x, w, message", REJECTED)
+    def test_weight_vector_rejects_the_same_weights(self, x, w, message):
+        if not message.startswith("weight"):
+            assert WeightVector.of(w).entries == tuple(w)
+            return
+        with pytest.raises(ValueError) as exc:
+            WeightVector.of(w)
+        assert type(exc.value) is ValueError and str(exc.value) == message
+
+    @pytest.mark.parametrize("w", [[10 ** 400, 1], [Fraction(10 ** 400), 1],
+                                   [1, Fraction(1, 3), 2], [Fraction(10 ** 400, 7), 3]])
+    def test_exact_weights_of_any_size_pass(self, w):
+        # math.isfinite would overflow on these; only float weights are
+        # tested for finiteness
+        x = [1, 2, 4, 8][:len(w)]
+        assert WeightVector.of(w).number_mode == "exact_rational"
+        scaled = [Fraction(3, 7) * v for v in w]
+        for name in ENTRY_POINTS:
+            ENTRY_POINTS[name](x, w)
+        assert evaluate(power(0.5), x, w) == evaluate(power(0.5), x, scaled)
+        assert evaluate(power(0.5), x, w) == power_mean(0.5, x, w)
+        if w[0] == 10 ** 400:
+            assert evaluate(power(0.5), x, w) == 1.0
+
+    def test_numpy_arrays_pass_as_their_floats(self):
+        x = np.array([0.5, 2.0, 3.25])
+        w = np.array([1.5, 0.25, 2.0])
+        for mean in (power(0.5), quasiarithmetic(CUBE)):
+            assert evaluate(mean, x, w) == evaluate(mean, x.tolist(), w.tolist())
+        assert step_profile(x, w) == step_profile(x.tolist(), w.tolist())
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.one_of(st.sampled_from(ORDERS_BY_REGIME),
+                       st.floats(-40, 40, allow_nan=False)),
+           data=st.data())
+    def test_spec_route_is_the_public_arithmetic(self, p, data):
+        n = data.draw(st.integers(1, 6))
+        x = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+        w = data.draw(st.one_of(
+            st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n),
+            st.lists(rationals, min_size=n, max_size=n)))
+        assert evaluate(power(p), x, w) == power_mean(p, x, w)
+        assert evaluate(quasiarithmetic(CUBE), x, w) == quasiarithmetic_mean(CUBE, x, w)
+
+    def test_orders_cover_every_regime(self):
+        assert {order_regime(p) for p in ORDERS_BY_REGIME} == {
+            "min", "max", "geometric", "near_geometric", "raw", "log"}
 
 
 class TestWeightVector:

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab.scalars import (exact_ratio, exact_sum, format_number, is_exact,
-                              json_ready, parse_number)
+from hardylab.scalars import (_digits, exact_ratio, exact_sum, format_number,
+                              is_exact, json_ready, parse_number)
 
 
 class TestParseNumber:
@@ -70,6 +71,26 @@ class TestFormatNumber:
         assert Fraction(int(Decimal(num)), int(Decimal(den))) == v
         assert format_number(Fraction(10 ** 5000)) == "1" + "0" * 5000
         assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+    def test_digits_of_large_integers_equal_str(self):
+        # the split rendering against str(), which renders any size once
+        # the process-wide digit limit is lifted (restored after)
+        rng = random.Random(11)
+        ints = [0, 1, -1]
+        for bits in (1, 2, 63, 2047, 2048, 2049, 4096, 4097, 50_000, 400_000):
+            top = 1 << (bits - 1)
+            ints += [top | rng.getrandbits(bits), -(top | rng.getrandbits(bits))]
+        for k in (1, 616, 617, 5000, 40_000):
+            ints += [10 ** k - 1, 10 ** k + 1, -(10 ** k) + 1, -(10 ** k) - 1]
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            for n in ints:
+                assert _digits(n) == str(n), n.bit_length()
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
 
 # ints, and Fractions whose numerators and denominators run from small to
