@@ -158,8 +158,12 @@ def _write(args, rendered: Rendered) -> int:
         body = rendered.text if rendered.text.endswith("\n") else rendered.text + "\n"
     out_path = getattr(args, "output", None)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(body)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(body)
+        except OSError as exc:
+            print(f"hardy: cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(body)
     return rendered.code

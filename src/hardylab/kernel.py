@@ -101,8 +101,9 @@ class WeightVector:
 
 
 def _check_weights(ws: tuple) -> None:
-    """Every weight positive, and finite where it is a float; exact
-    weights of any size pass (math.isfinite would overflow on them)."""
+    """Every weight positive, and finite unless it is an int or a Fraction:
+    exact weights of any size pass (math.isfinite would overflow on them),
+    and numpy scalars that are not Python floats are tested too."""
     if not ws:
         raise ValueError("weight vector needs at least one entry")
     try:  # one pass each in C; the loop below is the definition
@@ -111,7 +112,7 @@ def _check_weights(ws: tuple) -> None:
     except (TypeError, ValueError, OverflowError):
         pass
     for w in ws:
-        if not (w > 0 and (not isinstance(w, float) or math.isfinite(w))):
+        if not (w > 0 and (isinstance(w, (int, Fraction)) or math.isfinite(w))):
             raise ValueError(f"weights must be strictly positive and finite, got {w!r}")
 
 

@@ -26,11 +26,16 @@ p >= 1 and concave for p <= 1, and families.order_regime picks the route:
   maximum that is not global, so more starts would buy nothing. For min
   the value is 1 at the constant vector, which is also the bound.
 - "ascent" (user generators and opaque means): multistart projected
-  coordinate ascent, per coordinate a coarse log-grid scan and then
-  golden-section refinement, with incremental updates of the suffix a
-  coordinate change affects: O(N-j) per candidate through a generator's
-  running transform, and quadratic direct prefix evaluation for an
-  opaque mean, only sensible for small N.
+  coordinate ascent, with every start run in lockstep. Per coordinate,
+  one batched scan of a log grid picks each start's best point, and
+  batched zoom rounds of evenly spaced points then shrink the bracket
+  of its grid neighbours. A candidate updates only the suffix a
+  coordinate change affects: O(N-j) per trial value through a
+  generator's running transform, and quadratic direct prefix evaluation
+  for an opaque mean, only sensible for small N. The ascent finds local
+  maxima only: on a convex user generator (x^2, x^3) it can stop at a
+  point that is not a vertex, well below the vertex route's value for
+  the same power mean.
 
 The two power routes report upper_section, a certified upper bound on the
 supremum of this N-section (not on the constant of the infinite sequence).
@@ -48,17 +53,22 @@ import numpy as np
 from .families import order_regime, power_order
 from .kernel import MeanSpec, evaluate
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 # positivity floor for the ascent's coordinates, the starts and the
 # vertex's other coordinates
 _FLOOR = 1e-12
 # per coordinate: a scan of _SCAN_POINTS log-spaced values over
-# _SPAN_DECADES decades around the current one, then _REFINE_ITERS
-# golden-section steps
+# _SPAN_DECADES decades around the current one, then _ZOOM_ROUNDS rounds of
+# _ZOOM_POINTS evenly spaced values inside the bracket of the best one's
+# neighbours, each narrowing it to the neighbours of its own best value by
+# the factor 2 / (_ZOOM_POINTS + 1): six rounds take the scan's bracket of
+# two grid steps (1.7 decades) to 3e-6 decades
 _SCAN_POINTS = 13
 _SPAN_DECADES = 10.0
-_REFINE_ITERS = 24
+_ZOOM_POINTS = 17
+_ZOOM_ROUNDS = 6
+_LOG10_FLOOR = math.log10(_FLOOR)
+_SCAN_OFFSETS = np.linspace(-_SPAN_DECADES / 2.0, _SPAN_DECADES / 2.0, _SCAN_POINTS)
+_ZOOM_STEPS = np.arange(1, _ZOOM_POINTS + 1) / (_ZOOM_POINTS + 1)
 # a start stops after _MAX_UPDATES accepted coordinate moves or fixed-point
 # updates; an ascent start stops once a full sweep improves the objective by
 # less than the fraction _REL_TOL, a fixed-point start once its certified gap
@@ -227,12 +237,25 @@ def _ratio(mean: MeanSpec, x: np.ndarray, w: np.ndarray, W: np.ndarray) -> float
     return _quotient(float(np.cumsum(w * mn)[-1]), float(np.dot(w, x)))
 
 
+def _quotients(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """_quotient elementwise, for a caller that ignores float errors."""
+    return np.where(np.isfinite(num) & (den > 0), num / den, -np.inf)
+
+
+def _apply(f: Callable, a: np.ndarray) -> np.ndarray:
+    """f over an array of any shape, through its flattening: _vectorized
+    probes f on a 1-d array only."""
+    return np.asarray(f(a.ravel()), dtype=float).reshape(a.shape)
+
+
 class _PrefixEngine:
     """The coordinate ascent's running objective for one mean over fixed
-    weights. With a transform (phi, psi) it keeps F = phi(x) and T =
-    cumsum(w * F), and candidate() shifts the suffix of T by w[j] *
-    (phi(t) - F[j]), in O(N - j); without one it evaluates every prefix
-    from j on directly, quadratic in N."""
+    weights, for S starts at once (one row of x each). With a transform
+    (phi, psi) it keeps F = phi(x) and T = cumsum(w * F) per row, and
+    candidate() rebuilds the suffix of T from j on with phi(t) in place of
+    F[j], in O(N - j) per trial value t; without one it evaluates every
+    prefix from j on directly, quadratic in N. Each row's arithmetic is its
+    own, so a start's result does not depend on the starts beside it."""
 
     def __init__(self, mean: MeanSpec, w: np.ndarray):
         self.mean = mean
@@ -241,35 +264,61 @@ class _PrefixEngine:
         self.transform = _transform(mean)
 
     def rebuild(self, x: np.ndarray) -> None:
+        """Recompute every row's state from the (S, N) array x."""
         self.x = np.asarray(x, dtype=float)
         if self.transform is None:
-            self.mn = _direct_means(self.mean, self.x, self.w)
+            self.mn = np.array([_direct_means(self.mean, row, self.w) for row in self.x])
         else:
             phi, psi = self.transform
             with np.errstate(all="ignore"):
-                self.F = np.asarray(phi(self.x), dtype=float)
-                self.T = np.cumsum(self.w * self.F)
-                self.mn = np.asarray(psi(self.T / self.W), dtype=float)
-            self.mn[:1] = self.x[:1]
-        self.PN = np.cumsum(self.w * self.mn)
-        self.D = float(np.dot(self.w, self.x))
-        self.value = _quotient(float(self.PN[-1]), self.D)
+                self.F = _apply(phi, self.x)
+                self.T = np.cumsum(self.w * self.F, axis=1)
+                self.mn = _apply(psi, self.T / self.W)
+            self.mn[:, 0] = self.x[:, 0]
+        self.PN = np.cumsum(self.w * self.mn, axis=1)
+        self.D = np.sum(self.w * self.x, axis=1)
+        with np.errstate(all="ignore"):
+            self.value = _quotients(self.PN[:, -1], self.D)
+        self._line_key = None
 
-    def candidate(self, j: int, t: float) -> float:
-        """Objective after setting x[j] = t, leaving the rest fixed."""
+    def _line(self, rows: np.ndarray, j: int) -> tuple:
+        """What candidate() needs of rows and j beside the trial values,
+        kept until the next rebuild: the sums of w * F after j, T and the
+        numerator before j, and <w, x> without x[j]. Shifting T or <w, x>
+        by the change of the j-th term instead would cancel the old term
+        against itself and keep its rounding, which swamps the rest when
+        that term dominates it."""
+        key = (j, rows.tobytes())
+        if self._line_key != key:
+            w, x = self.w, self.x[rows]
+            rest = t_head = None
+            if self.transform is not None:
+                rest = np.zeros((len(rows), 1, len(w) - j))
+                np.cumsum(w[j + 1:] * self.F[rows, j + 1:], axis=1, out=rest[:, 0, 1:])
+                t_head = self.T[rows, j - 1, None] if j > 0 else 0.0
+            pn_head = self.PN[rows, j - 1, None] if j > 0 else 0.0
+            others = np.sum(w[:j] * x[:, :j], axis=1) + np.sum(w[j + 1:] * x[:, j + 1:], axis=1)
+            self._line_key, self._line_parts = key, (rest, t_head, pn_head, others[:, None])
+        return self._line_parts
+
+    def candidate(self, rows: np.ndarray, j: int, ts: np.ndarray) -> np.ndarray:
+        """Objective of row rows[r] after setting its x[j] = ts[r, g],
+        leaving the rest fixed, for the (R, G) block of trial values ts."""
         w, W = self.w, self.W
-        head = float(self.PN[j - 1]) if j > 0 else 0.0
+        rest, t_head, pn_head, others = self._line(rows, j)
         with np.errstate(all="ignore"):
             if self.transform is not None:
                 phi, psi = self.transform
-                delta = w[j] * (float(phi(t)) - self.F[j])
-                mn_suf = np.asarray(psi((self.T[j:] + delta) / W[j:]), dtype=float)
+                lead = t_head + w[j] * _apply(phi, ts)
+                mn_suf = _apply(psi, (lead[..., None] + rest) / W[j:])
             else:
-                x_new = self.x.copy()
-                x_new[j] = t
-                mn_suf = _direct_means(self.mean, x_new, w, j)
-            num = head + float(np.dot(w[j:], mn_suf))
-        return _quotient(num, self.D + w[j] * (t - self.x[j]))
+                mn_suf = np.empty(ts.shape + (len(w) - j,))
+                for (r, g), t in np.ndenumerate(ts):
+                    x_new = self.x[rows[r]].copy()
+                    x_new[j] = t
+                    mn_suf[r, g] = _direct_means(self.mean, x_new, w, j)
+            num = pn_head + np.add.reduce(w[j:] * mn_suf, axis=-1)
+            return _quotients(num, others + w[j] * ts)
 
 
 def hardy_ratio(mean: MeanSpec, x: Sequence[float], w: Sequence[float], *,
@@ -298,63 +347,78 @@ def hardy_ratio(mean: MeanSpec, x: Sequence[float], w: Sequence[float], *,
 _Run = Tuple[float, np.ndarray, bool, int, int]
 
 
-def _golden_max(f: Callable[[float], float], a: float, b: float,
-                iters: int) -> Tuple[float, float]:
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+def _line_search(eng: _PrefixEngine, rows: np.ndarray, j: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's best log10 value of coordinate j and its objective.
+
+    One batched scan over the log grid, clipped at the floor, then
+    _ZOOM_ROUNDS batched zoom rounds inside the bracket of the best grid
+    point's neighbours. A best point at the floor stands for every grid
+    point clipped to it, so its bracket reaches the first grid point above
+    the floor. The result is the best of every point evaluated.
+    """
+    grid = np.log10(eng.x[rows, j])[:, None] + _SCAN_OFFSETS
+    clipped = np.maximum(grid, _LOG10_FLOOR)
+    pts, vals = [clipped], [eng.candidate(rows, j, 10.0 ** clipped)]
+    k = np.maximum(vals[0].argmax(axis=1), (grid <= _LOG10_FLOOR).sum(axis=1) - 1)
+    r = np.arange(len(rows))
+    lo = clipped[r, np.maximum(k - 1, 0)]
+    span = clipped[r, np.minimum(k + 1, _SCAN_POINTS - 1)] - lo
+    for _ in range(_ZOOM_ROUNDS):
+        p = lo[:, None] + span[:, None] * _ZOOM_STEPS
+        v = eng.candidate(rows, j, 10.0 ** p)
+        pts.append(p)
+        vals.append(v)
+        lo = lo + span * (v.argmax(axis=1) / (_ZOOM_POINTS + 1))
+        span = span * (2.0 / (_ZOOM_POINTS + 1))
+    pts, vals = np.hstack(pts), np.hstack(vals)
+    best = vals.argmax(axis=1)
+    return pts[r, best], vals[r, best]
 
 
-def _ascend(mean: MeanSpec, w: np.ndarray, x0: np.ndarray) -> _Run:
+def _ascend(mean: MeanSpec, w: np.ndarray, starts: Sequence[np.ndarray]) -> List[_Run]:
+    """Coordinate ascent from every start, in lockstep.
+
+    Each start keeps its own rules: it accepts a coordinate's best point
+    only if it beats its objective by the fraction 1e-14, is rescaled to
+    <w, x> = 1 after every sweep of a homogeneous mean, and leaves the
+    active set once a sweep improves it by less than the fraction
+    _REL_TOL, or after _MAX_UPDATES accepted moves or _MAX_SWEEPS sweeps.
+    A start whose objective is not finite is returned as it is.
+    """
     eng = _PrefixEngine(mean, w)
-    x = np.maximum(np.asarray(x0, dtype=float), _FLOOR)
-    eng.rebuild(x)
-    if not math.isfinite(eng.value):
-        return -math.inf, x, False, 0, 0
-    updates = sweeps = 0
-    converged = False
-    half = _SPAN_DECADES / 2.0
-    log_floor = math.log10(_FLOOR)
+    eng.rebuild(np.maximum(np.array(starts, dtype=float), _FLOOR))
+    S, N = eng.x.shape
+    updates = np.zeros(S, dtype=int)
+    sweeps = np.zeros(S, dtype=int)
+    converged = np.zeros(S, dtype=bool)
+    active = np.isfinite(eng.value)
     for _ in range(_MAX_SWEEPS):
-        sweeps += 1
-        before = eng.value
-        for j in range(len(w)):
-            if updates >= _MAX_UPDATES:
+        if not active.any():
+            break
+        sweeps[active] += 1
+        before = eng.value.copy()
+        for j in range(N):
+            rows = np.flatnonzero(active & (updates < _MAX_UPDATES))
+            if len(rows) == 0:
                 break
-            u = math.log10(eng.x[j])
-            grid = np.linspace(u - half, u + half, _SCAN_POINTS)
-            grid = np.unique(np.maximum(grid, log_floor))
-            vals = [eng.candidate(j, 10.0 ** g) for g in grid]
-            k = int(np.argmax(vals))
-            a = grid[max(k - 1, 0)]
-            b = grid[min(k + 1, len(grid) - 1)]
-            g_best, v_best = _golden_max(
-                lambda g: eng.candidate(j, 10.0 ** g), a, b, _REFINE_ITERS)
-            if vals[k] > v_best:
-                g_best, v_best = grid[k], vals[k]
-            if v_best > eng.value * (1.0 + 1e-14) and math.isfinite(v_best):
-                eng.x[j] = max(10.0 ** g_best, _FLOOR)
+            g_best, v_best = _line_search(eng, rows, j)
+            accept = (v_best > eng.value[rows] * (1.0 + 1e-14)) & np.isfinite(v_best)
+            if accept.any():
+                moved = rows[accept]
+                eng.x[moved, j] = np.maximum(10.0 ** g_best[accept], _FLOOR)
                 eng.rebuild(eng.x)
-                updates += 1
-        if mean.flags.homogeneous and eng.D > 0 and math.isfinite(eng.D):
-            eng.rebuild(np.maximum(eng.x / eng.D, _FLOOR))
-        after = eng.value
-        if updates >= _MAX_UPDATES:
-            break
-        if after - before <= _REL_TOL * max(1.0, abs(before)):
-            converged = True
-            break
-    return eng.value, eng.x.copy(), converged, updates, sweeps
+                updates[moved] += 1
+        if mean.flags.homogeneous:
+            scale = active & (eng.D > 0) & np.isfinite(eng.D)
+            if scale.any():
+                eng.x[scale] = np.maximum(eng.x[scale] / eng.D[scale, None], _FLOOR)
+                eng.rebuild(eng.x)
+        capped = updates >= _MAX_UPDATES
+        done = ~capped & (eng.value - before <= _REL_TOL * np.maximum(1.0, np.abs(before)))
+        converged |= active & done
+        active &= ~(capped | done)
+    return [(float(eng.value[s]), eng.x[s].copy(), bool(converged[s]), int(updates[s]),
+             int(sweeps[s])) for s in range(S)]
 
 
 def _vertices(w: np.ndarray, W: np.ndarray, inv: float) -> Tuple[np.ndarray, float]:
@@ -583,7 +647,7 @@ def maximize_hardy_ratio(mean: MeanSpec, w: Sequence[float],
     else:
         upper = None
         starts = _structured_starts(w_arr, config.starts, config.seed) + warm
-        solver, runs = "ascent", [_ascend(mean, w_arr, x0) for x0 in starts]
+        solver, runs = "ascent", _ascend(mean, w_arr, starts)
 
     value, witness, converged, _, _ = max(
         runs, key=lambda r: (r[0], tuple(-c for c in r[1])))

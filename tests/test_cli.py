@@ -449,3 +449,10 @@ class TestPlumbing:
         assert code == 4
         assert out == ""
         assert err == "hardy: internal error: OverflowError: int too large to convert to float\n"
+
+    def test_unwritable_output_is_a_usage_error_in_one_line(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "constant", "--copson", "1/2", "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"hardy: cannot write {path}: No such file or directory\n"

@@ -80,6 +80,9 @@ REJECTED = [
     ([1, 2], [-2, 1], WEIGHT_MSG + "-2"),
     ([1, 2], [Fraction(-1, 2), 1], WEIGHT_MSG + "Fraction(-1, 2)"),
     ([1], [], "weight vector needs at least one entry"),
+    # numpy scalars that are not Python floats are tested for finiteness too
+    *(([1, 2], [v, 1], WEIGHT_MSG + repr(v))
+      for v in (np.float32("inf"), np.float32("nan"), np.float16("inf"), np.float16("nan"))),
     ([1, 2], [1], "length mismatch: 2 points vs 1 weights"),
     ([1], [1, Fraction(1, 2)], "length mismatch: 1 points vs 2 weights"),
 ]

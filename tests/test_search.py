@@ -14,7 +14,8 @@ from hardylab.families import (builtin_generator, make_generator, parse_mean, po
 from hardylab.hardy import finite_lower_bound
 from hardylab.kernel import MeanFlags, MeanSpec, evaluate
 from hardylab.search import (_FLOOR, _MAX_UPDATES, OptimizerConfig, _PrefixEngine,
-                             hardy_ratio, maximize_hardy_ratio, prefix_means)
+                             _structured_starts, hardy_ratio, maximize_hardy_ratio,
+                             prefix_means)
 from hardylab.weights import make_sequence
 
 
@@ -108,17 +109,39 @@ def test_generic_engine_used_for_opaque_means():
 def test_incremental_candidate_matches_rebuild(mean):
     w = np.array(make_sequence("geometric:3/4").terms_floats(10))
     rng = np.random.default_rng(5)
-    x = rng.lognormal(0.0, 1.0, size=10)
+    x = rng.lognormal(0.0, 1.0, size=(2, 10))
     eng = _PrefixEngine(mean, w)
     eng.rebuild(x.copy())
     fresh = _PrefixEngine(mean, w)
+    rows = np.array([1, 0])  # a block of rows in any order
+    ts = np.array([[0.05, 1.0, 20.0]] * len(rows))
     for j in (0, 3, 9):
-        for t in (0.05, 1.0, 20.0):
-            inc = eng.candidate(j, t)
-            y = x.copy()
-            y[j] = t
-            fresh.rebuild(y)
-            assert inc == pytest.approx(fresh.value, rel=1e-9), (j, t)
+        inc = eng.candidate(rows, j, ts)
+        assert inc.shape == ts.shape
+        for r, row in enumerate(rows):
+            for g, t in enumerate(ts[r]):
+                y = x[row:row + 1].copy()
+                y[0, j] = t
+                fresh.rebuild(y)
+                assert inc[r, g] == pytest.approx(fresh.value[0], rel=1e-9), (row, j, t)
+
+
+@pytest.mark.parametrize("j", [0, 2])
+def test_candidate_keeps_the_digits_of_a_dominated_suffix(j):
+    # x[j]^3 carries all but 1e-16 of the running sums after it: shifting
+    # them by the change of that one term leaves rounding noise in place of
+    # the rest, which the ascent read as gains
+    w = np.array([1.0, 0.5, 2.0, 0.75, 1.25, 3.0])
+    x = np.array([[0.7, 1.1, 0.9, 1.3, 0.5, 0.8]])
+    x[0, j] = 3.1e5
+    eng = _PrefixEngine(CUBE, w)
+    eng.rebuild(x)
+    ts = np.array([[0.3, 0.8, 2.0]])
+    inc = eng.candidate(np.array([0]), j, ts)
+    for g, t in enumerate(ts[0]):
+        y = x.copy()
+        y[0, j] = t
+        assert inc[0, g] == pytest.approx(brute_ratio(CUBE, list(y[0]), list(w)), rel=1e-12)
 
 
 def test_arithmetic_objective_saturates_to_harmonic_sum():
@@ -280,6 +303,35 @@ def equivalent_user_mean(p):
                              lambda t: np.power(t, 1.0 / p))
     assert gen.power_order is None
     return quasiarithmetic(gen)
+
+
+def test_lockstep_starts_match_their_runs_alone():
+    # each start of a multistart ascent ends where it ends when run beside
+    # the constant start only
+    rng = random.Random("ascent-lockstep")
+    w = [rng.randint(1, 9) / rng.randint(1, 9) for _ in range(16)]
+    cfg = OptimizerConfig(starts=4, seed=2)
+    multi = maximize_hardy_ratio(CUBE, w, cfg)
+    starts = _structured_starts(np.array(w), cfg.starts, cfg.seed)
+    for x0, value in zip(starts, multi.start_values):
+        alone = maximize_hardy_ratio(CUBE, w, OptimizerConfig(
+            starts=1, seed=cfg.seed, warm_starts=(tuple(x0),)))
+        assert alone.start_values[1] == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [-3.0, 0.0, 0.5], ids=repr)
+def test_ascent_reaches_the_certified_value_of_concave_orders(p):
+    # a concave power order has no local maximum that is not global, so the
+    # ascent on its user form should find the fixed point's certified value
+    rng = random.Random(f"ascent-quality:{p}")
+    for _ in range(3):
+        w = [rng.randint(1, 9) / rng.randint(1, 9) for _ in range(16)]
+        certified = maximize_hardy_ratio(power(p), w)
+        assert certified.converged
+        ascent = maximize_hardy_ratio(equivalent_user_mean(p), w,
+                                      OptimizerConfig(starts=4, seed=0))
+        assert ascent.solver == "ascent"
+        assert ascent.value == pytest.approx(certified.value, rel=1e-9)
 
 
 @settings(max_examples=50, deadline=None)
