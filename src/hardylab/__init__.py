@@ -2,9 +2,8 @@
 
 from .scalars import Number, format_number, is_exact, json_ready, parse_number
 from .kernel import (AxiomReport, CheckOutcome, MeanDomainError, MeanFlags,
-                     MeanSpec, StepFunction, WeightVector, check_axioms,
-                     evaluate, interval_mean, replay_axiom, shuffle,
-                     step_profile)
+                     MeanSpec, StepFunction, check_axioms, evaluate,
+                     interval_mean, replay_axiom, shuffle, step_profile)
 from .families import (GeneratorHandle, builtin_generator, make_generator,
                        parse_mean, power, power_mean, quasiarithmetic,
                        quasiarithmetic_mean)
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Number", "format_number", "is_exact", "json_ready", "parse_number",
     "AxiomReport", "CheckOutcome", "MeanDomainError", "MeanFlags", "MeanSpec",
-    "StepFunction", "WeightVector", "check_axioms", "evaluate", "interval_mean",
+    "StepFunction", "check_axioms", "evaluate", "interval_mean",
     "replay_axiom", "shuffle", "step_profile",
     "GeneratorHandle", "builtin_generator", "make_generator", "parse_mean",
     "power", "power_mean", "quasiarithmetic", "quasiarithmetic_mean",

@@ -24,8 +24,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .scalars import Number, json_ready
-from .kernel import MeanSpec, StepFunction, WeightVector, evaluate, interval_mean
+from .scalars import Number, all_exact, json_ready
+from .kernel import MeanSpec, StepFunction, _check_weights, evaluate, interval_mean
 from .families import parse_mean, power_order
 from .weights import WeightSeq, _match_partial_sums, make_sequence, random_rational_sequence
 from .search import OptimizerConfig, maximize_hardy_ratio
@@ -101,14 +101,15 @@ def equal_sum_rearrangement(x: Sequence[Number], w) -> RearrangementResult:
     each block taking the average of what it received. The weighted sum
     is preserved exactly; the output is nonincreasing even when x was not.
     """
-    wv = w if isinstance(w, WeightVector) else WeightVector.of(w)
-    if wv.number_mode != "exact_rational":
+    ws = tuple(w)
+    _check_weights(ws)
+    if not all_exact(ws):
         raise TypeError("rearrangement needs rational weights (use p/q literals)")
-    if len(x) != len(wv):
+    if len(x) != len(ws):
         raise ValueError("x and w must have equal length")
     if any(isinstance(v, float) and not math.isfinite(v) for v in x):
         raise ValueError(f"x entries must be finite, got {list(x)!r}")
-    ws = [Fraction(v) for v in wv]
+    ws = [Fraction(v) for v in ws]
     xs = [Fraction(v) for v in x]
     runs = iter(sorted(zip(xs, ws), key=lambda t: t[0], reverse=True))
     v, left = next(runs)  # value of the current run and its mass not yet poured
@@ -144,11 +145,10 @@ def verify_jcin(mean: MeanSpec, x: Sequence[Number], w,
     instance. margin is the minimum over prefixes of (rearranged mean -
     original mean).
     """
-    wv = w if isinstance(w, WeightVector) else WeightVector.of(w)
-    res = equal_sum_rearrangement(x, wv)
+    ws = list(w)
+    res = equal_sum_rearrangement(x, ws)
     xs = [float(v) for v in x]
     ys = list(res.y_floats())
-    ws = list(wv)
     margin = math.inf
     worst_n = 0
     lhs_w = rhs_w = 0.0
@@ -165,7 +165,7 @@ def verify_jcin(mean: MeanSpec, x: Sequence[Number], w,
     return CheckReport(
         check="jcin", passed=ok, outcome=outcome, instances=1, margin=margin,
         witness={
-            "x": list(x), "w": list(wv), "y": res.y,
+            "x": list(x), "w": ws, "y": res.y,
             "prefix": worst_n, "original_mean": lhs_w, "rearranged_mean": rhs_w,
         },
         details={"mean": mean.name, "hypotheses_claimed": _claims_hypotheses(mean)})

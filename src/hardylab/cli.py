@@ -145,7 +145,7 @@ def _write(args, rendered: Rendered) -> int:
             "schema": SCHEMA,
             "command": rendered.command,
             "config": json_ready(rendered.config),
-            "report": rendered.report,
+            "report": json_ready(rendered.report),
         }, sort_keys=True, indent=2) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
@@ -224,9 +224,7 @@ def _cmd_estimate(args) -> Rendered:
               "N": args.N, "seed": args.seed, "starts": args.starts}
     text = (f"{est.kind}: value={est.value!r} direction={est.direction} "
             f"mean={est.mean} weights={est.weights} N={est.N}")
-    report = est.to_json()
-    rows = [["field", "value"]] + _kv_rows(report)
-    return Rendered(0, "estimate", config, report, text, rows)
+    return Rendered(0, "estimate", config, est.to_json(), text)
 
 
 def _cmd_verify_axioms(args) -> Rendered:

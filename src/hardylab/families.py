@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kernel import MeanDomainError, MeanFlags, MeanSpec, WeightVector, _validate_points
+from .kernel import MeanDomainError, MeanFlags, MeanSpec, evaluate
 from .scalars import all_exact, format_number, parse_float
 
 # The order policy shared by power_mean and the search's prefix_means.
@@ -56,36 +56,22 @@ def _normalized_weights(entries: tuple) -> list:
     return [float(e) / ft for e in entries]
 
 
-def _checked_input(x, w) -> Tuple[tuple, list]:
-    """Raw points and weights checked as kernel.evaluate checks them
-    (points first here), with the weights normalized."""
-    xs = _validate_points(x)
-    nw = _normalized_weights(WeightVector.of(w).entries)
-    if len(xs) != len(nw):
-        raise ValueError(f"length mismatch: {len(xs)} points vs {len(nw)} weights")
-    return xs, nw
-
-
 def power_mean(p: float, x, w) -> float:
-    """Weighted power mean of order p at points x with weights w.
+    """Weighted power mean of order p at points x with weights w:
+    evaluate(power(p), x, w), so x and w are checked as evaluate checks
+    them.
 
     Orders -inf/+inf give the min/max, order 0 the geometric mean; see
     order_regime for the cutoffs. The result is clamped into [min x, max x];
     the clamp only ever corrects float rounding, since containment is
     guaranteed mathematically.
-
-    Checks x and w as kernel.evaluate does, for callers with raw input;
-    the power(p) spec skips that and runs the same arithmetic on the
-    tuples evaluate has checked.
     """
-    return _power_mean(p, *_checked_input(x, w))
+    return evaluate(power(p), x, w)
 
 
 def _power_mean(p: float, xs: tuple, nw: list) -> float:
-    """power_mean of checked points with normalized weights."""
-    p = float(p)
-    if math.isnan(p):
-        raise MeanDomainError("power order must not be NaN")
+    """The arithmetic of power(p), whose float order p is not NaN, on
+    checked points with normalized weights."""
     lo, hi = min(xs), max(xs)
     if lo == hi:
         return lo
@@ -191,18 +177,19 @@ def builtin_generator(name: str) -> GeneratorHandle:
 
 
 def quasiarithmetic_mean(gen: GeneratorHandle, x, w) -> float:
-    """Quasi-arithmetic mean: inverse(sum w_i * forward(x_i) / sum w).
+    """Quasi-arithmetic mean inverse(sum w_i * forward(x_i) / sum w):
+    evaluate(quasiarithmetic(gen), x, w), so x and w are checked as
+    evaluate checks them.
 
     The result is not clamped, so a broken generator stays visible to the
-    mean-value check. Checks x and w as kernel.evaluate does, for callers
-    with raw input; the quasiarithmetic(gen) spec skips that and runs the
-    same arithmetic on the tuples evaluate has checked.
+    mean-value check.
     """
-    return _quasiarithmetic_mean(gen, *_checked_input(x, w))
+    return evaluate(quasiarithmetic(gen), x, w)
 
 
 def _quasiarithmetic_mean(gen: GeneratorHandle, xs: tuple, nw: list) -> float:
-    """quasiarithmetic_mean of checked points with normalized weights."""
+    """The arithmetic of quasiarithmetic(gen) on checked points with
+    normalized weights."""
     if len(xs) == 1:
         return xs[0]
     try:

@@ -44,12 +44,13 @@ class MeanFlags:
 class MeanSpec:
     """A weighted mean M(x, w) of positive entries with positive weights.
 
-    `fn` is called only by evaluate(), which checks the inputs first: it
-    receives a nonempty tuple of positive finite floats and an equally
-    long tuple of the caller's weights, each positive and, if a float,
-    finite. It owns weight normalization itself; the kernel deliberately
-    does not normalize, so scaling defects in a mean stay observable to
-    the axiom checks.
+    `fn` is called only by evaluate() (families.power_mean and
+    quasiarithmetic_mean are evaluate of their specs), which checks the
+    inputs first: it receives a nonempty tuple of positive finite floats
+    and an equally long tuple of the caller's weights, each positive and
+    finite unless it is an int or a Fraction. It owns weight normalization
+    itself; the kernel deliberately does not normalize, so scaling defects
+    in a mean stay observable to the axiom checks.
     """
 
     family: str
@@ -60,44 +61,6 @@ class MeanSpec:
 
     def __str__(self) -> str:
         return self.name or self.family
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Finite vector of strictly positive weights.
-
-    number_mode is "exact_rational" when every entry supports exact
-    arithmetic (int or Fraction), otherwise "float".
-    """
-
-    entries: Tuple[Number, ...]
-
-    def __post_init__(self):
-        _check_weights(self.entries)
-
-    @staticmethod
-    def of(w) -> "WeightVector":
-        if isinstance(w, WeightVector):
-            return w
-        return WeightVector(tuple(w))
-
-    @property
-    def number_mode(self) -> str:
-        return "exact_rational" if all_exact(self.entries) else "float"
-
-    def scale(self, t: Number) -> "WeightVector":
-        if not t > 0:
-            raise ValueError("scale factor must be positive")
-        return WeightVector(tuple(t * w for w in self.entries))
-
-    def total(self) -> Number:
-        return sum(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 def _check_weights(ws: tuple) -> None:
@@ -116,7 +79,12 @@ def _check_weights(ws: tuple) -> None:
             raise ValueError(f"weights must be strictly positive and finite, got {w!r}")
 
 
-def _validate_points(x) -> Tuple[float, ...]:
+def _checked(x, w) -> Tuple[Tuple[float, ...], tuple]:
+    """The one check of a point vector x and a weight vector w: the
+    weights first, then the points, then the lengths. Returns the points
+    as floats and the weights as given, both as tuples."""
+    ws = tuple(w)
+    _check_weights(ws)
     xs = tuple(map(float, x))
     if not xs:
         raise ValueError("point vector needs at least one entry")
@@ -124,26 +92,22 @@ def _validate_points(x) -> Tuple[float, ...]:
         for v in xs:  # name the first offending entry
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"point entries must be strictly positive and finite, got {v!r}")
-    return xs
+    if len(xs) != len(ws):
+        raise ValueError(f"length mismatch: {len(xs)} points vs {len(ws)} weights")
+    return xs, ws
 
 
 def evaluate(mean: MeanSpec, x, w) -> float:
     """Evaluate a mean at points x with weights w.
 
     The one place where a mean's inputs are checked: raises on empty
-    inputs, length mismatch, and nonpositive or non-finite entries, then
-    hands mean.fn the checked tuples. For a well-formed mean the result
-    lies in [min x, max x] and is invariant under positive scaling of w
-    (exactly so in exact-rational weight mode).
+    inputs, nonpositive or non-finite entries (weights before points) and
+    length mismatch, then hands mean.fn the checked tuples. For a
+    well-formed mean the result lies in [min x, max x] and is invariant
+    under positive scaling of w (exactly so when every weight is an int or
+    a Fraction).
     """
-    if isinstance(w, WeightVector):
-        ws = w.entries
-    else:
-        ws = tuple(w)
-        _check_weights(ws)
-    xs = _validate_points(x)
-    if len(xs) != len(ws):
-        raise ValueError(f"length mismatch: {len(xs)} points vs {len(ws)} weights")
+    xs, ws = _checked(x, w)
     return float(mean.fn(xs, ws))
 
 
@@ -210,13 +174,10 @@ class StepFunction:
 def step_profile(x, w) -> StepFunction:
     """Step function carrying (x, w): value x_k on [L_{k-1}, L_k), where
     L are the weight partial sums (exact breakpoints for rational w)."""
-    wv = WeightVector.of(w)
-    xs = _validate_points(x)
-    if len(xs) != len(wv):
-        raise ValueError(f"length mismatch: {len(xs)} points vs {len(wv)} weights")
-    acc = 0 if wv.number_mode == "exact_rational" else 0.0
+    xs, ws = _checked(x, w)
+    acc = 0 if all_exact(ws) else 0.0
     sums = [acc]
-    for e in wv.entries:
+    for e in ws:
         acc = acc + e
         sums.append(acc)
     return StepFunction(tuple(sums), xs)

@@ -19,7 +19,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .kernel import MeanDomainError
-from .scalars import Number, exact_ratio, format_number, is_exact, json_ready, parse_number
+from .scalars import (Number, exact_ratio, format_number, is_exact, json_ready, parse_float,
+                      parse_number)
 
 # exact ratio diagnostics above this many terms would drag big-integer
 # arithmetic for fast-growing sequences; fall back to floats there
@@ -179,7 +180,7 @@ def make_sequence(spec: str) -> WeightSeq:
             raise ValueError("geometric ratio must be finite")
         if not q > 0:
             raise ValueError("geometric ratio must be positive")
-        qf = float(q)
+        qf = parse_float(arg)  # refuses a literal beyond the float range
         desc = f"geometric:{format_number(q)}"
         if q == 1:
             return WeightSeq(
@@ -238,9 +239,10 @@ def make_sequence(spec: str) -> WeightSeq:
         alpha = parse_number(arg)
         if isinstance(alpha, float) and not math.isfinite(alpha):
             raise ValueError("power exponent must be finite")
-        af = float(alpha)
+        af = parse_float(arg)  # refuses a literal beyond the float range
         desc = f"power:{format_number(alpha)}"
-        if is_exact(alpha) and Fraction(alpha).denominator == 1:
+        integral = is_exact(alpha) and Fraction(alpha).denominator == 1
+        if integral:
             a_int = int(alpha)
             term = (lambda n, _a=a_int: n ** _a) if a_int >= 0 else \
                    (lambda n, _a=a_int: Fraction(1, n ** (-_a)))
@@ -252,7 +254,11 @@ def make_sequence(spec: str) -> WeightSeq:
         else:
             div = False
             reason = f"p-series with exponent {format_number(alpha)} < -1"
-            tail = lambda n: float(n) ** (af + 1) / (-af - 1)  # integral bound
+            # the integral bound n^(alpha+1) / (-alpha-1), exact for integer alpha
+            if integral:
+                tail = lambda n, _b=-a_int - 1: Fraction(1, _b * n ** _b)
+            else:
+                tail = lambda n: float(n) ** (af + 1) / (-af - 1)
         return WeightSeq(
             desc, term, tail_bound=tail,
             sum_diverges=div, divergence_reason=reason,

@@ -83,6 +83,17 @@ class TestConstant:
         assert code == 0, err
         assert len(json.loads(out)["report"]["lower"]) > 4300
 
+    def test_integer_power_weights_certify_exactly(self, capsys):
+        code, out, _ = run(capsys, "constant", "--arithmetic", "--weights", "power:-2",
+                           "--N", "6", "--certified", "--format", "json")
+        assert code == 0
+        rep = json.loads(out)["report"]
+        lo, hi = rep["lower"], rep["upper"]
+        assert isinstance(lo, str) and isinstance(hi, str) and "/" in lo and "/" in hi
+        assert Fraction(lo) < Fraction(hi)
+        assert Fraction(hi) - Fraction(lo) == Fraction(rep["diagnostics"]["tail_bound"]) \
+            / sum(Fraction(1, n * n) for n in range(1, 7))
+
     def test_divergent_weights_cannot_certify(self, capsys):
         code, _, err = run(capsys, "constant", "--arithmetic", "--weights",
                            "ones", "--certified")
@@ -369,6 +380,11 @@ class TestPlumbing:
         ("constant", "--copson", "1e400"),
         ("verify", "mu1-sweep", "--mean", "power:1/2", "--cap", "1e400",
          "--trials", "1", "--N", "4"),
+        ("estimate", "--method", "finite", "--weights", "power:-1e400", "--N", "8"),
+        ("estimate", "--method", "finite", "--weights", "power:1e400", "--N", "8"),
+        ("estimate", "--method", "finite", "--weights", "geometric:1e400", "--N", "8"),
+        ("constant", "--arithmetic", "--weights", "power:-1e400", "--certified"),
+        ("verify", "cut", "--weights", "power:1e400", "--blocks", "2,1", "--N", "5"),
         # decimal literals need --float wherever a number is read
         ("constant", "--copson", "0.5"),
         ("verify", "mu1-sweep", "--mean", "power:1/2", "--cap", "4.5",

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab.kernel import (MeanFlags, MeanSpec, StepFunction, WeightVector,
-                             check_axioms, evaluate, interval_mean,
-                             replay_axiom, shuffle, step_profile)
+from hardylab.kernel import (MeanFlags, MeanSpec, StepFunction, check_axioms,
+                             evaluate, interval_mean, replay_axiom, shuffle,
+                             step_profile)
 from hardylab.families import (make_generator, order_regime, parse_mean, power,
                                power_mean, quasiarithmetic, quasiarithmetic_mean)
 
@@ -85,6 +85,9 @@ REJECTED = [
       for v in (np.float32("inf"), np.float32("nan"), np.float16("inf"), np.float16("nan"))),
     ([1, 2], [1], "length mismatch: 2 points vs 1 weights"),
     ([1], [1, Fraction(1, 2)], "length mismatch: 1 points vs 2 weights"),
+    # two defects: the weights are checked first, then the points, then the lengths
+    ([0, 1], [1, 0], WEIGHT_MSG + "0"),
+    ([0, 1], [1], POINT_MSG + "0.0"),
 ]
 
 
@@ -97,22 +100,13 @@ class TestOneBoundaryCheck:
         assert type(exc.value) is ValueError
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("x, w, message", REJECTED)
-    def test_weight_vector_rejects_the_same_weights(self, x, w, message):
-        if not message.startswith("weight"):
-            assert WeightVector.of(w).entries == tuple(w)
-            return
-        with pytest.raises(ValueError) as exc:
-            WeightVector.of(w)
-        assert type(exc.value) is ValueError and str(exc.value) == message
-
     @pytest.mark.parametrize("w", [[10 ** 400, 1], [Fraction(10 ** 400), 1],
                                    [1, Fraction(1, 3), 2], [Fraction(10 ** 400, 7), 3]])
     def test_exact_weights_of_any_size_pass(self, w):
         # math.isfinite would overflow on these; only float weights are
         # tested for finiteness
         x = [1, 2, 4, 8][:len(w)]
-        assert WeightVector.of(w).number_mode == "exact_rational"
+        assert all(isinstance(b, (int, Fraction)) for b in step_profile(x, w).breakpoints)
         scaled = [Fraction(3, 7) * v for v in w]
         for name in ENTRY_POINTS:
             ENTRY_POINTS[name](x, w)
@@ -144,23 +138,6 @@ class TestOneBoundaryCheck:
     def test_orders_cover_every_regime(self):
         assert {order_regime(p) for p in ORDERS_BY_REGIME} == {
             "min", "max", "geometric", "near_geometric", "raw", "log"}
-
-
-class TestWeightVector:
-    def test_number_mode(self):
-        assert WeightVector.of([1, Fraction(1, 2)]).number_mode == "exact_rational"
-        assert WeightVector.of([1, 0.5]).number_mode == "float"
-
-    def test_rejects_empty_and_nonpositive(self):
-        with pytest.raises(ValueError):
-            WeightVector.of([])
-        with pytest.raises(ValueError):
-            WeightVector.of([1, 0])
-
-    def test_scale_keeps_exactness(self):
-        v = WeightVector.of([Fraction(1, 2), 1]).scale(Fraction(2, 3))
-        assert v.number_mode == "exact_rational"
-        assert v.total() == Fraction(1)
 
 
 class TestShuffle:

@@ -80,6 +80,19 @@ class TestDescriptors:
         true_tail = sum(1.0 / k ** 2 for k in range(11, 20_000))
         assert true_tail < bound < 2 * true_tail
 
+    @pytest.mark.parametrize("alpha", [-2, -3, -7])
+    def test_integer_power_tail_bound_is_exact(self, alpha):
+        s = make_sequence(f"power:{alpha}")
+        for n in (1, 2, 5, 30):
+            bound = s.tail_bound(n)
+            assert isinstance(bound, Fraction)
+            assert bound >= sum(s.term(k) for k in range(n + 1, n + 201))
+
+    @pytest.mark.parametrize("desc", ["power:-1e400", "power:1e400", "geometric:1e400"])
+    def test_literals_beyond_the_float_range_are_refused(self, desc):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            make_sequence(desc)
+
     @pytest.mark.parametrize("desc", ["bogus", "geometric:0", "geometric:-1/2",
                                       "geometric:inf", "perturbed-dyadic:0",
                                       "perturbed-dyadic:x", "power:inf", "ones:3"])
