@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Track finite-section lower bounds as the section grows.
 
-Runs the warm-started sweep over a doubling ladder of section sizes and
-prints one row per size, next to the closed-form cap when the mean has
-one. Power means also show upper section, the solver's certified bound
-on the supremum of that N-section ("-" for means the coordinate ascent
-solves), so each row brackets its section. Useful for eyeballing how
-quickly the bounds saturate, and for choosing an N that is large enough
-before burning CPU on a long sweep.
+Solves the finite section once per size of a doubling ladder and prints
+one row per size, next to the closed-form cap when the mean has one.
+Power means also show upper section, the solver's certified bound on the
+supremum of that N-section ("-" for means the coordinate ascent solves),
+so each row brackets its section. Useful for eyeballing how quickly the
+bounds saturate, and for choosing an N that is large enough before
+burning CPU on a long sweep.
 
     python3 scripts/convergence_study.py --mean power:1/2 --weights dyadic
     python3 scripts/convergence_study.py --mean power:0 --weights ones --max-n 512
@@ -18,7 +18,7 @@ import math
 import sys
 
 from hardylab.families import parse_mean, power_order
-from hardylab.hardy import copson_constant, finite_lower_bound_sweep
+from hardylab.hardy import copson_constant, finite_lower_bound
 from hardylab.weights import make_sequence
 
 
@@ -47,7 +47,7 @@ def main() -> int:
         header += f"  {'cap - bound':>14}"
     print(header)
     prev = None
-    for est in finite_lower_bound_sweep(mean, lam, sizes):
+    for est in (finite_lower_bound(mean, lam, N) for N in sizes):
         gain = "" if prev is None else f"{est.value - prev:.3e}"
         upper = est.diagnostics["upper_section"]
         upper = "-" if upper is None else f"{upper:.15f}"

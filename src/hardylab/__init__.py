@@ -14,8 +14,8 @@ from .search import (OptimizerConfig, SearchResult, hardy_ratio, maximize_hardy_
                      prefix_means)
 from .hardy import (HardyEstimate, HypothesisViolation, InconclusiveError,
                     arithmetic_hardy, copson_constant, finite_lower_bound,
-                    finite_lower_bound_sweep, geometric_probe, kedlaya_estimate,
-                    kedlaya_sequence, unweighted_limit)
+                    geometric_probe, kedlaya_estimate, kedlaya_sequence,
+                    unweighted_limit)
 from .checks import (CheckReport, ExpansionBudgetError, LscReport,
                      RearrangementResult, equal_sum_rearrangement, jcin_sweep,
                      lsc_example_table, mu1_sweep, verify_cut,
@@ -36,8 +36,8 @@ __all__ = [
     "prefix_means",
     "HardyEstimate", "HypothesisViolation", "InconclusiveError",
     "arithmetic_hardy", "copson_constant", "finite_lower_bound",
-    "finite_lower_bound_sweep", "geometric_probe", "kedlaya_estimate",
-    "kedlaya_sequence", "unweighted_limit",
+    "geometric_probe", "kedlaya_estimate", "kedlaya_sequence",
+    "unweighted_limit",
     "CheckReport", "ExpansionBudgetError", "LscReport", "RearrangementResult",
     "equal_sum_rearrangement", "jcin_sweep", "lsc_example_table", "mu1_sweep",
     "verify_cut", "verify_decreasing", "verify_jcin",

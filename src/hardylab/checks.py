@@ -28,7 +28,7 @@ from .scalars import Number, all_exact, json_ready
 from .kernel import MeanSpec, StepFunction, _check_weights, evaluate, interval_mean
 from .families import parse_mean, power_order
 from .weights import WeightSeq, _match_partial_sums, make_sequence, random_rational_sequence
-from .search import OptimizerConfig, maximize_hardy_ratio
+from .search import maximize_hardy_ratio
 from . import hardy as _hardy
 
 DEFAULT_MARGIN_TOL = 1e-10
@@ -171,20 +171,15 @@ def verify_jcin(mean: MeanSpec, x: Sequence[Number], w,
         details={"mean": mean.name, "hypotheses_claimed": _claims_hypotheses(mean)})
 
 
-def _random_instance(rng: random.Random, *, max_len: int = 8,
-                     integer_weights: bool = True) -> Tuple[list, list]:
-    n = rng.randint(1, max_len)
+def _random_instance(rng: random.Random) -> Tuple[list, list]:
+    n = rng.randint(1, 8)
     x = [Fraction(rng.randint(1, 400), rng.randint(1, 40)) for _ in range(n)]
-    if integer_weights:
-        w = [rng.randint(1, 6) for _ in range(n)]
-    else:
-        w = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+    w = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
     return x, w
 
 
 def jcin_sweep(mean: MeanSpec, trials: int = 200, seed: int = 0, *,
-               tol: float = DEFAULT_MARGIN_TOL,
-               integer_weights: bool = False) -> CheckReport:
+               tol: float = DEFAULT_MARGIN_TOL) -> CheckReport:
     """Random-instance sweep of verify_jcin, merged by worst margin."""
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -194,7 +189,7 @@ def jcin_sweep(mean: MeanSpec, trials: int = 200, seed: int = 0, *,
     tried = 0
     for i in range(trials):
         rng = random.Random(f"hardylab-jcin:{seed}:{i}")
-        x, w = _random_instance(rng, integer_weights=integer_weights)
+        x, w = _random_instance(rng)
         rep = verify_jcin(mean, x, w, tol=tol)
         tried += 1
         if rep.margin < margin:
@@ -391,8 +386,7 @@ def lsc_example_table(kmax: int, N: int = 200) -> LscReport:
 
 
 def mu1_sweep(mean: MeanSpec, trials: int = 50, N: int = 256, seed: int = 0, *,
-              cap: Optional[float] = None, tol: float = 1e-3,
-              config: OptimizerConfig = OptimizerConfig()) -> CheckReport:
+              cap: Optional[float] = None, tol: float = 1e-3) -> CheckReport:
     """No random rational weights beat the unweighted constant.
 
     Runs the finite-section search over random rational weight sequences
@@ -412,7 +406,7 @@ def mu1_sweep(mean: MeanSpec, trials: int = 50, N: int = 256, seed: int = 0, *,
     witness = None
     for i in range(trials):
         lam = random_rational_sequence(seed * 1_000_003 + i)
-        est = _hardy.finite_lower_bound(mean, lam, N, config)
+        est = _hardy.finite_lower_bound(mean, lam, N)
         slack = cap + tol - est.value
         if slack < margin:
             margin = slack

@@ -20,7 +20,6 @@ cannot be produced.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +30,7 @@ import numpy as np
 
 from .scalars import Number, exact_ratio, exact_sum, format_number, is_exact, json_ready
 from .kernel import MeanDomainError, MeanSpec
-from .search import OptimizerConfig, SearchResult, maximize_hardy_ratio, prefix_means
+from .search import OptimizerConfig, maximize_hardy_ratio, prefix_means
 from .weights import WeightSeq, ratio_diagnostics
 
 # trailing-window fraction for steady-state estimates and the a(N)-a(N/2)
@@ -203,13 +202,7 @@ def finite_lower_bound(mean: MeanSpec, lam: WeightSeq, N: int,
     """Best Hardy ratio found over vectors supported on the first N terms."""
     if N < 1:
         raise ValueError("need N >= 1")
-    w = lam.terms_floats(N)
-    res = maximize_hardy_ratio(mean, w, config)
-    return _estimate_from_search(mean, lam, N, res)
-
-
-def _estimate_from_search(mean: MeanSpec, lam: WeightSeq, N: int,
-                          res: SearchResult) -> HardyEstimate:
+    res = maximize_hardy_ratio(mean, lam.terms_floats(N), config)
     return HardyEstimate(
         kind="finite-section", mean=mean.name, weights=lam.descriptor, N=N,
         value=res.value, lower=res.value if math.isfinite(res.value) else None,
@@ -223,30 +216,6 @@ def _estimate_from_search(mean: MeanSpec, lam: WeightSeq, N: int,
             "gap": res.gap,
             "start_values": list(res.start_values),
         })
-
-
-def finite_lower_bound_sweep(mean: MeanSpec, lam: WeightSeq, sizes: Sequence[int],
-                             config: OptimizerConfig = OptimizerConfig()) -> List[HardyEstimate]:
-    """Finite-section bounds along increasing N, warm-starting each run
-    from the previous witness extended with a 1/W_n tail."""
-    sizes = [int(n) for n in sizes]
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must be strictly increasing")
-    out: List[HardyEstimate] = []
-    cfg = config
-    prev_witness: Optional[np.ndarray] = None
-    prev_n = 0
-    for N in sizes:
-        W = lam.partial_sums_floats(N)
-        if prev_witness is not None:
-            pad = prev_witness[-1] * W[prev_n - 1] / W[prev_n:N]
-            warm = tuple(np.concatenate([prev_witness, pad]))
-            cfg = dataclasses.replace(config, warm_starts=(warm,))
-        est = finite_lower_bound(mean, lam, N, cfg)
-        out.append(est)
-        prev_witness = np.asarray(est.witness, dtype=float)
-        prev_n = N
-    return out
 
 
 # ---------------------------------------------------------------------------

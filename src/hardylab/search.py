@@ -12,11 +12,11 @@ p >= 1 and concave for p <= 1, and families.order_regime picks the route:
 - "vertex" (p >= 1 and max): a convex ratio peaks at a vertex e_k of the
   simplex <w, x> = 1, and all N vertex ratios come in closed form in O(N).
   The largest is the supremum of the section; no start is evaluated.
-- "fixed-point" (p < 1 and min): one iteration from 1/W_n, or from a warm
-  start with a higher ratio. Each update tries a safeguarded Newton step
-  of the concave program max log A(x) - <w, x> (whose maximizers, scaled
-  to <w, x> = 1, are the ratio's), solved in O(N) through the nested
-  prefix softmaxes (_PowerSection.newton), and otherwise takes the
+- "fixed-point" (p < 1 and min): one iteration from 1/W_n. Each update
+  tries a safeguarded Newton step of the concave program
+  max log A(x) - <w, x> (whose maximizers, scaled to <w, x> = 1, are the
+  ratio's), solved in O(N) through the nested prefix softmaxes
+  (_PowerSection.newton), and otherwise takes the
   multiplicative update x_k <- x_k (g_k / R)^(1/(1-p)) with
   g_k = (dA/dx_k) / w_k, whose fixed points are the maximizers (the
   nonlinear power method of Boyd, 1974). Concavity and Euler's identity
@@ -98,17 +98,14 @@ _MAX_SWEEPS = 60
 class OptimizerConfig:
     """What a caller chooses about the finite-section search.
 
-    starts counts the coordinate ascent's built-in starting points (3
-    structured + the rest random, seeded by seed), at least one; the power
-    routes ignore starts and seed. warm_starts are extra caller-supplied
-    vectors: the ascent runs each of them, and the fixed point starts from
-    the best of them and 1/W_n. The step schedule and stopping rules are
-    module constants.
+    starts counts the coordinate ascent's starting points (3 structured +
+    the rest random, seeded by seed), at least one; the power routes ignore
+    starts and seed. The step schedule and stopping rules are module
+    constants.
     """
 
     starts: int = 8
     seed: int = 0
-    warm_starts: Tuple[Tuple[float, ...], ...] = ()
 
     def __post_init__(self):
         if self.starts < 1:
@@ -279,33 +276,29 @@ class _PrefixEngine:
         self.D = np.sum(self.w * self.x, axis=1)
         with np.errstate(all="ignore"):
             self.value = _quotients(self.PN[:, -1], self.D)
-        self._line_key = None
 
-    def _line(self, rows: np.ndarray, j: int) -> tuple:
-        """What candidate() needs of rows and j beside the trial values,
-        kept until the next rebuild: the sums of w * F after j, T and the
-        numerator before j, and <w, x> without x[j]. Shifting T or <w, x>
-        by the change of the j-th term instead would cancel the old term
-        against itself and keep its rounding, which swamps the rest when
-        that term dominates it."""
-        key = (j, rows.tobytes())
-        if self._line_key != key:
-            w, x = self.w, self.x[rows]
-            rest = t_head = None
-            if self.transform is not None:
-                rest = np.zeros((len(rows), 1, len(w) - j))
-                np.cumsum(w[j + 1:] * self.F[rows, j + 1:], axis=1, out=rest[:, 0, 1:])
-                t_head = self.T[rows, j - 1, None] if j > 0 else 0.0
-            pn_head = self.PN[rows, j - 1, None] if j > 0 else 0.0
-            others = np.sum(w[:j] * x[:, :j], axis=1) + np.sum(w[j + 1:] * x[:, j + 1:], axis=1)
-            self._line_key, self._line_parts = key, (rest, t_head, pn_head, others[:, None])
-        return self._line_parts
+    def line(self, rows: np.ndarray, j: int) -> tuple:
+        """What candidate() needs of rows and j beside the trial values:
+        the sums of w * F after j, T and the numerator before j, and <w, x>
+        without x[j]. Shifting T or <w, x> by the change of the j-th term
+        instead would cancel the old term against itself and keep its
+        rounding, which swamps the rest when that term dominates it."""
+        w, x = self.w, self.x[rows]
+        rest = t_head = None
+        if self.transform is not None:
+            rest = np.zeros((len(rows), 1, len(w) - j))
+            np.cumsum(w[j + 1:] * self.F[rows, j + 1:], axis=1, out=rest[:, 0, 1:])
+            t_head = self.T[rows, j - 1, None] if j > 0 else 0.0
+        pn_head = self.PN[rows, j - 1, None] if j > 0 else 0.0
+        others = np.sum(w[:j] * x[:, :j], axis=1) + np.sum(w[j + 1:] * x[:, j + 1:], axis=1)
+        return rest, t_head, pn_head, others[:, None]
 
-    def candidate(self, rows: np.ndarray, j: int, ts: np.ndarray) -> np.ndarray:
+    def candidate(self, rows: np.ndarray, j: int, line: tuple, ts: np.ndarray) -> np.ndarray:
         """Objective of row rows[r] after setting its x[j] = ts[r, g],
-        leaving the rest fixed, for the (R, G) block of trial values ts."""
+        leaving the rest fixed, for the (R, G) block of trial values ts;
+        line is line(rows, j) of the current state."""
         w, W = self.w, self.W
-        rest, t_head, pn_head, others = self._line(rows, j)
+        rest, t_head, pn_head, others = line
         with np.errstate(all="ignore"):
             if self.transform is not None:
                 phi, psi = self.transform
@@ -356,16 +349,17 @@ def _line_search(eng: _PrefixEngine, rows: np.ndarray, j: int) -> Tuple[np.ndarr
     point clipped to it, so its bracket reaches the first grid point above
     the floor. The result is the best of every point evaluated.
     """
+    line = eng.line(rows, j)
     grid = np.log10(eng.x[rows, j])[:, None] + _SCAN_OFFSETS
     clipped = np.maximum(grid, _LOG10_FLOOR)
-    pts, vals = [clipped], [eng.candidate(rows, j, 10.0 ** clipped)]
+    pts, vals = [clipped], [eng.candidate(rows, j, line, 10.0 ** clipped)]
     k = np.maximum(vals[0].argmax(axis=1), (grid <= _LOG10_FLOOR).sum(axis=1) - 1)
     r = np.arange(len(rows))
     lo = clipped[r, np.maximum(k - 1, 0)]
     span = clipped[r, np.minimum(k + 1, _SCAN_POINTS - 1)] - lo
     for _ in range(_ZOOM_ROUNDS):
         p = lo[:, None] + span[:, None] * _ZOOM_STEPS
-        v = eng.candidate(rows, j, 10.0 ** p)
+        v = eng.candidate(rows, j, line, 10.0 ** p)
         pts.append(p)
         vals.append(v)
         lo = lo + span * (v.argmax(axis=1) / (_ZOOM_POINTS + 1))
@@ -379,8 +373,7 @@ def _ascend(mean: MeanSpec, w: np.ndarray, starts: Sequence[np.ndarray]) -> List
     """Coordinate ascent from every start, in lockstep.
 
     Each start keeps its own rules: it accepts a coordinate's best point
-    only if it beats its objective by the fraction 1e-14, is rescaled to
-    <w, x> = 1 after every sweep of a homogeneous mean, and leaves the
+    only if it beats its objective by the fraction 1e-14, and leaves the
     active set once a sweep improves it by less than the fraction
     _REL_TOL, or after _MAX_UPDATES accepted moves or _MAX_SWEEPS sweeps.
     A start whose objective is not finite is returned as it is.
@@ -408,11 +401,6 @@ def _ascend(mean: MeanSpec, w: np.ndarray, starts: Sequence[np.ndarray]) -> List
                 eng.x[moved, j] = np.maximum(10.0 ** g_best[accept], _FLOOR)
                 eng.rebuild(eng.x)
                 updates[moved] += 1
-        if mean.flags.homogeneous:
-            scale = active & (eng.D > 0) & np.isfinite(eng.D)
-            if scale.any():
-                eng.x[scale] = np.maximum(eng.x[scale] / eng.D[scale, None], _FLOOR)
-                eng.rebuild(eng.x)
         capped = updates >= _MAX_UPDATES
         done = ~capped & (eng.value - before <= _REL_TOL * np.maximum(1.0, np.abs(before)))
         converged |= active & done
@@ -566,12 +554,12 @@ def _fixed_point(sec: _PowerSection, x0: np.ndarray, v0: float) -> Tuple[_Run, f
     return (value, x, False, updates, updates), upper
 
 
-def _solve_power(mean: MeanSpec, p: float, regime: str, w: np.ndarray, W: np.ndarray,
-                 starts: List[np.ndarray]) -> Tuple[str, _Run, float]:
+def _solve_power(mean: MeanSpec, p: float, regime: str, w: np.ndarray,
+                 W: np.ndarray) -> Tuple[str, _Run, float]:
     """Route the order-p power mean by its regime: (solver, run, upper_section).
 
-    The closed forms need no start. The fixed point runs once, from the
-    start with the highest ratio (the first on ties).
+    The closed forms need no start. The fixed point runs once, from 1/W_n
+    scaled to <w, x> = 1.
     """
     if regime == "min":
         # sum_n w_n min(x_1..x_n) <= <w, x>, with equality at constant x
@@ -579,8 +567,9 @@ def _solve_power(mean: MeanSpec, p: float, regime: str, w: np.ndarray, W: np.nda
     if regime == "max" or p >= 1.0:
         vertex, upper = _vertices(w, W, 0.0 if regime == "max" else 1.0 / p)
         return "vertex", (_ratio(mean, vertex, w, W), vertex, False, 0, 0), upper
-    v0, x0 = max(((_ratio(mean, x, w, W), x) for x in starts), key=lambda s: s[0])
-    run, upper = _fixed_point(_PowerSection(mean, w, W, p), x0, v0)
+    x0 = 1.0 / W
+    x0 = np.maximum(x0 / np.dot(w, x0), _FLOOR)
+    run, upper = _fixed_point(_PowerSection(mean, w, W, p), x0, _ratio(mean, x0, w, W))
     return "fixed-point", run, upper
 
 
@@ -611,10 +600,9 @@ def maximize_hardy_ratio(mean: MeanSpec, w: Sequence[float],
     point with its safeguarded Newton step for p < 1 and the closed form 1
     for min, all reporting upper_section. Each solves the section once, so
     start_values holds one entry, and its value is no worse than the ratio
-    at 1/W_n or at any warm start. Every other mean runs multistart
-    coordinate ascent (user generators and opaque means): every start and
-    warm start is run and keeps its best point, so no start's value is
-    lost.
+    at 1/W_n. Every other mean runs multistart coordinate ascent (user
+    generators and opaque means): every start is run and keeps its best
+    point, so no start's value is lost.
 
     Deterministic for a fixed config: the ascent's starts are seeded by
     index, and its results are reduced by best value with
@@ -629,24 +617,15 @@ def maximize_hardy_ratio(mean: MeanSpec, w: Sequence[float],
         raise ValueError("need a nonempty 1-d weight prefix")
     if not np.all(np.isfinite(w_arr)) or not np.all(w_arr > 0):
         raise ValueError("weights must be positive and finite")
-    warm = []
-    for ws in config.warm_starts:
-        v = np.asarray(ws, dtype=float)
-        if v.shape != w_arr.shape:
-            raise ValueError("warm starts must match the weight prefix length")
-        warm.append(np.maximum(v, _FLOOR))
 
     p = power_order(mean)
     regime = None if p is None else order_regime(p)
     if regime is not None:
-        W = np.cumsum(w_arr)
-        start = 1.0 / W
-        start = np.maximum(start / np.dot(w_arr, start), _FLOOR)
-        solver, run, upper = _solve_power(mean, p, regime, w_arr, W, [start] + warm)
+        solver, run, upper = _solve_power(mean, p, regime, w_arr, np.cumsum(w_arr))
         runs = [run]
     else:
         upper = None
-        starts = _structured_starts(w_arr, config.starts, config.seed) + warm
+        starts = _structured_starts(w_arr, config.starts, config.seed)
         solver, runs = "ascent", _ascend(mean, w_arr, starts)
 
     value, witness, converged, _, _ = max(

@@ -269,19 +269,19 @@ def make_sequence(spec: str) -> WeightSeq:
         "geometric:Q, perturbed-dyadic:K, or power:ALPHA")
 
 
-def random_rational_sequence(seed: int, *, max_numerator: int = 9,
-                             max_denominator: int = 9) -> WeightSeq:
-    """Deterministic pseudo-random sequence of small positive rationals;
-    term(n) depends only on (seed, n), so any prefix is reproducible."""
+def random_rational_sequence(seed: int) -> WeightSeq:
+    """Deterministic pseudo-random sequence of rationals a/b with a, b in
+    1..9; term(n) depends only on (seed, n), so any prefix is
+    reproducible."""
 
     def term(n: int) -> Fraction:
         rng = random.Random(f"hardylab-weights:{seed}:{n}")
-        return Fraction(rng.randint(1, max_numerator), rng.randint(1, max_denominator))
+        return Fraction(rng.randint(1, 9), rng.randint(1, 9))
 
     return WeightSeq(
         f"random-rational:{seed}", term,
         sum_diverges=True,
-        divergence_reason=f"terms bounded below by 1/{max_denominator}")
+        divergence_reason="terms bounded below by 1/9")
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,7 @@ def test_criterion_05_unweighted_limits():
 
 def test_criterion_06_cap_at_unit_weights():
     t0 = time.monotonic()
-    rep = mu1_sweep(power(0.5), trials=50, N=256, seed=0, tol=1e-3,
-                    config=SEARCH)
+    rep = mu1_sweep(power(0.5), trials=50, N=256, seed=0, tol=1e-3)
     assert rep.passed, rep.witness
     assert rep.margin >= 0
     assert time.monotonic() - t0 < 300.0

@@ -13,10 +13,8 @@ from hardylab.checks import (equal_sum_rearrangement, jcin_sweep,
 from hardylab.families import make_generator, power, quasiarithmetic
 from hardylab.hardy import HypothesisViolation, InconclusiveError
 from hardylab.kernel import MeanFlags, StepFunction, evaluate, step_profile
-from hardylab.search import OptimizerConfig, SearchResult
+from hardylab.search import SearchResult
 from hardylab.weights import coarsen, make_sequence, random_rational_sequence
-
-SMALL = OptimizerConfig(starts=3, seed=0)
 
 fractions_pos = st.fractions(min_value=Fraction(1, 20), max_value=100,
                              max_denominator=20)
@@ -153,11 +151,6 @@ class TestJcin:
         rep = jcin_sweep(bare, trials=10, seed=0)
         assert rep.outcome == "inconclusive"
         assert rep.passed and rep.margin >= -1e-10
-
-    def test_integer_weight_instances(self):
-        rep = jcin_sweep(power(1), trials=30, seed=7, integer_weights=True)
-        assert rep.outcome == "pass"
-        assert all(isinstance(c, int) for c in rep.witness["w"])
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
@@ -355,14 +348,13 @@ class TestLscTable:
 
 class TestMu1Sweep:
     def test_small_sweep_stays_under_cap(self):
-        rep = mu1_sweep(power(0.5), trials=3, N=24, seed=1, config=SMALL)
+        rep = mu1_sweep(power(0.5), trials=3, N=24, seed=1)
         assert rep.passed and rep.outcome == "pass"
         assert rep.margin >= 0
         assert rep.witness["value"] <= 4.0 + 1e-3
 
     def test_artificially_low_cap_fails(self):
-        rep = mu1_sweep(power(0.5), trials=2, N=24, seed=1, cap=1.0,
-                        config=SMALL)
+        rep = mu1_sweep(power(0.5), trials=2, N=24, seed=1, cap=1.0)
         assert not rep.passed and rep.outcome == "fail"
         assert rep.witness["value"] > 1.0
 
@@ -372,5 +364,5 @@ class TestMu1Sweep:
         gm = quasiarithmetic(make_generator("log", np.log, np.exp))
         with pytest.raises(ValueError, match="cap"):
             mu1_sweep(gm, trials=1, N=8)
-        rep = mu1_sweep(gm, trials=2, N=16, seed=0, cap=math.e, config=SMALL)
+        rep = mu1_sweep(gm, trials=2, N=16, seed=0, cap=math.e)
         assert rep.passed

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from decimal import Decimal
@@ -330,6 +332,18 @@ class TestPlumbing:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    def test_csv_cells_of_lists_read_back_as_json(self, capsys):
+        args = ("estimate", "--method", "finite", "--mean", "power:1/2",
+                "--weights", "dyadic", "--N", "6")
+        _, out, _ = run(capsys, *args, "--format", "json")
+        rep = json.loads(out)["report"]
+        code, out, _ = run(capsys, *args, "--format", "csv")
+        assert code == 0
+        cells = dict(csv.reader(io.StringIO(out)))
+        assert json.loads(cells["witness"]) == rep["witness"]
+        assert (json.loads(cells["diagnostics.start_values"])
+                == rep["diagnostics"]["start_values"])
 
     def test_no_timestamps_in_json(self, capsys):
         _, out, _ = run(capsys, "constant", "--copson", "1/2",

@@ -8,9 +8,9 @@ import pytest
 from hardylab.families import make_generator, power, quasiarithmetic
 from hardylab.hardy import (HypothesisViolation, InconclusiveError,
                             arithmetic_hardy, copson_constant,
-                            finite_lower_bound, finite_lower_bound_sweep,
-                            geometric_probe, kedlaya_estimate,
-                            kedlaya_sequence, unweighted_limit)
+                            finite_lower_bound, geometric_probe,
+                            kedlaya_estimate, kedlaya_sequence,
+                            unweighted_limit)
 from hardylab.kernel import MeanDomainError, evaluate
 from hardylab.search import OptimizerConfig
 from hardylab.weights import WeightSeq, make_sequence, random_rational_sequence
@@ -181,22 +181,11 @@ class TestFiniteSection:
     def test_bounds_increase_with_section_size(self):
         lam = make_sequence("dyadic")
         cfg = OptimizerConfig(starts=3, seed=0)
-        ests = finite_lower_bound_sweep(power(0.5), lam, [4, 8, 16], cfg)
+        ests = [finite_lower_bound(power(0.5), lam, N, cfg) for N in (4, 8, 16)]
         vals = [e.value for e in ests]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
         assert [e.N for e in ests] == [4, 8, 16]
         assert all(e.kind == "finite-section" for e in ests)
-
-    def test_sweep_matches_single_runs_or_better(self):
-        lam = make_sequence("ones")
-        cfg = OptimizerConfig(starts=3, seed=0)
-        solo = finite_lower_bound(power(0.5), lam, 8, cfg).value
-        swept = finite_lower_bound_sweep(power(0.5), lam, [4, 8], cfg)[-1].value
-        assert swept >= solo - 1e-9
-
-    def test_sizes_must_increase(self):
-        with pytest.raises(ValueError):
-            finite_lower_bound_sweep(power(1), make_sequence("ones"), [4, 4])
 
     def test_witness_is_reported_and_replays(self):
         est = finite_lower_bound(power(1), make_sequence("ones"), 4,

@@ -13,9 +13,9 @@ from hardylab.families import (builtin_generator, make_generator, parse_mean, po
                                power_order, quasiarithmetic)
 from hardylab.hardy import finite_lower_bound
 from hardylab.kernel import MeanFlags, MeanSpec, evaluate
-from hardylab.search import (_FLOOR, _MAX_UPDATES, OptimizerConfig, _PrefixEngine,
-                             _structured_starts, hardy_ratio, maximize_hardy_ratio,
-                             prefix_means)
+from hardylab.search import (_FLOOR, _MAX_UPDATES, _ZOOM_ROUNDS, OptimizerConfig,
+                             _ascend, _line_search, _PrefixEngine, _structured_starts,
+                             hardy_ratio, maximize_hardy_ratio, prefix_means)
 from hardylab.weights import make_sequence
 
 
@@ -116,7 +116,7 @@ def test_incremental_candidate_matches_rebuild(mean):
     rows = np.array([1, 0])  # a block of rows in any order
     ts = np.array([[0.05, 1.0, 20.0]] * len(rows))
     for j in (0, 3, 9):
-        inc = eng.candidate(rows, j, ts)
+        inc = eng.candidate(rows, j, eng.line(rows, j), ts)
         assert inc.shape == ts.shape
         for r, row in enumerate(rows):
             for g, t in enumerate(ts[r]):
@@ -137,11 +137,31 @@ def test_candidate_keeps_the_digits_of_a_dominated_suffix(j):
     eng = _PrefixEngine(CUBE, w)
     eng.rebuild(x)
     ts = np.array([[0.3, 0.8, 2.0]])
-    inc = eng.candidate(np.array([0]), j, ts)
+    rows = np.array([0])
+    inc = eng.candidate(rows, j, eng.line(rows, j), ts)
     for g, t in enumerate(ts[0]):
         y = x.copy()
         y[0, j] = t
         assert inc[0, g] == pytest.approx(brute_ratio(CUBE, list(y[0]), list(w)), rel=1e-12)
+
+
+def test_line_search_reads_the_line_once_for_its_seven_candidates(monkeypatch):
+    # the line parts are computed once per coordinate and shared by the scan
+    # and every zoom round, which stay one candidate() call each
+    calls = {"line": 0, "candidate": 0}
+    for name in calls:
+        def counted(self, *args, _f=getattr(_PrefixEngine, name), _name=name):
+            calls[_name] += 1
+            return _f(self, *args)
+        monkeypatch.setattr(_PrefixEngine, name, counted)
+    w = np.array(make_sequence("geometric:3/4").terms_floats(8))
+    eng = _PrefixEngine(CUBE, w)
+    eng.rebuild(np.array([1.0 / np.cumsum(w), np.linspace(0.2, 2.0, 8)]))
+    rows = np.array([1, 0])
+    pts, vals = _line_search(eng, rows, 3)
+    assert calls == {"line": 1, "candidate": 1 + _ZOOM_ROUNDS}
+    assert pts.shape == vals.shape == (len(rows),)
+    assert np.all(vals >= eng.value[rows] * (1 - 1e-12))
 
 
 def test_arithmetic_objective_saturates_to_harmonic_sum():
@@ -186,38 +206,14 @@ def test_deterministic_across_runs():
     assert a.value == b.value and a.witness == b.witness
 
 
-def test_warm_start_can_only_help():
-    w = list(make_sequence("geometric:1/2").terms_floats(10))
-    for mean in (CUBE, power(0.5)):
-        cold = maximize_hardy_ratio(mean, w, OptimizerConfig(starts=3, seed=0))
-        warm = maximize_hardy_ratio(
-            mean, w, OptimizerConfig(starts=3, seed=0, warm_starts=(cold.witness,)))
-        assert warm.value >= cold.value - 1e-12
-        if mean is CUBE:  # the ascent runs the warm start after its own three
-            assert len(warm.start_values) == 4
-        else:  # the fixed point runs once, from the better start
-            assert len(warm.start_values) == 1
-            assert warm.value >= hardy_ratio(mean, cold.witness, w) * (1 - 1e-12)
-            assert warm.value >= start_ratio(mean, w)
-
-
 @pytest.mark.parametrize("p", [0.0, 0.5, -3.0, 2.0, math.inf], ids=repr)
 def test_power_routes_keep_the_best_start(p):
-    # a warm start better than 1/W_n is where the fixed point starts from; the
-    # vertex route evaluates no start and still beats both
+    # the fixed point starts from 1/W_n and keeps it if nothing beats it; the
+    # vertex route evaluates no start and still beats it
     w = list(make_sequence("geometric:3/4").terms_floats(12))
-    plain = maximize_hardy_ratio(power(p), w)
-    warm_x = tuple(2.0 * v for v in plain.witness)
-    warm = maximize_hardy_ratio(power(p), w, OptimizerConfig(warm_starts=(warm_x,)))
-    assert len(warm.start_values) == 1
-    for x in (1.0 / np.cumsum(w), np.array(warm_x)):
-        assert warm.value >= hardy_ratio(power(p), x, w) * (1 - 1e-12)
-
-
-def test_warm_start_shape_is_validated():
-    with pytest.raises(ValueError, match="warm starts"):
-        maximize_hardy_ratio(power(1), [1.0, 1.0],
-                             OptimizerConfig(warm_starts=((1.0, 2.0, 3.0),)))
+    res = maximize_hardy_ratio(power(p), w)
+    assert len(res.start_values) == 1
+    assert res.value >= start_ratio(power(p), w) * (1 - 1e-12)
 
 
 @pytest.mark.parametrize("bad", [[], [1.0, -2.0], [1.0, math.inf], [0.0]])
@@ -306,17 +302,52 @@ def equivalent_user_mean(p):
 
 
 def test_lockstep_starts_match_their_runs_alone():
-    # each start of a multistart ascent ends where it ends when run beside
-    # the constant start only
+    # each start of a multistart ascent ends where it ends when run alone
     rng = random.Random("ascent-lockstep")
     w = [rng.randint(1, 9) / rng.randint(1, 9) for _ in range(16)]
     cfg = OptimizerConfig(starts=4, seed=2)
     multi = maximize_hardy_ratio(CUBE, w, cfg)
     starts = _structured_starts(np.array(w), cfg.starts, cfg.seed)
     for x0, value in zip(starts, multi.start_values):
-        alone = maximize_hardy_ratio(CUBE, w, OptimizerConfig(
-            starts=1, seed=cfg.seed, warm_starts=(tuple(x0),)))
-        assert alone.start_values[1] == pytest.approx(value, rel=1e-12)
+        [(alone, *_)] = _ascend(CUBE, np.array(w), [x0])
+        assert alone == pytest.approx(value, rel=1e-12)
+
+
+def test_a_homogeneity_claim_does_not_steer_the_ascent():
+    # the search takes a mean's flags as unverified claims: a wrong one (exp
+    # is not homogeneous) must not change what the ascent finds
+    gen = make_generator("exp", np.exp, np.log)
+    claimed = quasiarithmetic(gen, MeanFlags(symmetric=True, monotone=True,
+                                             homogeneous=True))
+    cfg = OptimizerConfig(starts=3, seed=0)
+    for seed in range(6):
+        rng = random.Random(seed)
+        w = [rng.randint(1, 9) / rng.randint(1, 9) for _ in range(12)]
+        assert (maximize_hardy_ratio(claimed, w, cfg).value
+                == maximize_hardy_ratio(quasiarithmetic(gen), w, cfg).value)
+
+
+def test_a_true_homogeneity_claim_changes_nothing():
+    # the search reads no flags: claiming the homogeneity the cube mean has
+    # leaves every start's run bit-identical
+    claimed = quasiarithmetic(CUBE.params, MeanFlags(symmetric=True, monotone=True,
+                                                     homogeneous=True))
+    w = list(make_sequence("geometric:1/2").terms_floats(10))
+    cfg = OptimizerConfig(starts=3, seed=1)
+    a, b = (maximize_hardy_ratio(m, w, cfg) for m in (claimed, CUBE))
+    assert (a.value, a.witness, a.start_values) == (b.value, b.witness, b.start_values)
+
+
+def test_scalar_only_generators_are_vectorized():
+    # math.log refuses arrays, so the search wraps it in np.vectorize
+    scalar = quasiarithmetic(make_generator("scalar-log", math.log, math.exp))
+    array = quasiarithmetic(make_generator("array-log", np.log, np.exp))
+    w = list(make_sequence("geometric:3/4").terms_floats(10))
+    x = [2.0 / (k + 1) + 0.1 * k for k in range(10)]
+    assert prefix_means(scalar, x, w) == pytest.approx(prefix_means(array, x, w), rel=1e-12)
+    cfg = OptimizerConfig(starts=1, seed=0)
+    assert (maximize_hardy_ratio(scalar, w, cfg).value
+            == pytest.approx(maximize_hardy_ratio(array, w, cfg).value, rel=1e-12))
 
 
 @pytest.mark.parametrize("p", [-3.0, 0.0, 0.5], ids=repr)
