@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from .scalars import Number, format_number, is_exact, json_ready, parse_float, parse_number
-from .kernel import MeanDomainError, MeanSpec, check_axioms, step_profile
+from .kernel import MeanDomainError, check_axioms, step_profile
 from .families import parse_mean, power_order
-from .weights import WeightSeq, as_float, coarsen, make_sequence, ratio_diagnostics
+from .weights import WeightSeq, as_float, coarsen, make_sequence
 from .search import OptimizerConfig
 from .hardy import (HypothesisViolation, InconclusiveError, arithmetic_hardy,
                     copson_constant, finite_lower_bound, geometric_probe,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -145,16 +145,19 @@ class GeneratorHandle:
     power_order: Optional[float] = None
 
 
-def make_generator(name: str, forward: Callable, inverse: Callable,
-                   sample: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 7.5),
-                   tol: float = 1e-9) -> GeneratorHandle:
+# points and relative tolerance of make_generator's round-trip check
+_ROUND_TRIP_POINTS = (0.25, 0.5, 1.0, 2.0, 7.5)
+_ROUND_TRIP_TOL = 1e-9
+
+
+def make_generator(name: str, forward: Callable, inverse: Callable) -> GeneratorHandle:
     """Pair a generator with its inverse, validating the round trip on
     sample points."""
-    for t in sample:
+    for t in _ROUND_TRIP_POINTS:
         with np.errstate(all="ignore"):
             back = float(inverse(forward(t)))
         # negated form so NaN round trips count as failures too
-        if not (abs(back - t) <= tol * max(1.0, abs(t))):
+        if not (abs(back - t) <= _ROUND_TRIP_TOL * max(1.0, abs(t))):
             raise ValueError(f"inverse fails to invert forward at t={t}: got {back}")
     return GeneratorHandle(name, forward, inverse)
 

@@ -24,12 +24,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .scalars import Number, exact_ratio, exact_sum, format_number, is_exact, json_ready
 from .kernel import MeanDomainError, MeanSpec
+from .families import power_order
 from .search import OptimizerConfig, maximize_hardy_ratio, prefix_means
 from .weights import WeightSeq, ratio_diagnostics
 
@@ -245,19 +246,19 @@ def kedlaya_sequence(mean: MeanSpec, lam: WeightSeq, y: float, N: int) -> np.nda
 
 
 def kedlaya_estimate(mean: MeanSpec, lam: WeightSeq, N: int, *,
-                     window: float = STEADY_WINDOW,
-                     y_grid: Sequence[float] = DEFAULT_Y_GRID) -> HardyEstimate:
+                     window: float = STEADY_WINDOW) -> HardyEstimate:
     """Steady-state estimate from the substitution x_n = y/W_n.
 
     Requires divergent weight sums and nonincreasing term/partial-sum
     ratios (HypothesisViolation otherwise; unknown divergence also
     refuses, since the route's conclusion rests on it). For each y the
     steady value is the minimum of a_n over the trailing window, a
-    fraction in (0, 1] of the sequence; the headline is the best y. When
-    the mean's flags claim homogeneity y cancels, so only y = 1 is
-    evaluated: per_y holds that one row, grid_spread is 0 and
-    grid_collapsed is true. Other means run the whole grid and report the
-    observed spread. A row whose terms are not all finite (the mean
+    fraction in (0, 1] of the sequence; the headline is the best y. A
+    power mean (families.power_order is not None) is 1-homogeneous by its
+    formula, so y cancels and only y = 1 is evaluated: per_y holds that
+    one row, grid_spread is 0 and grid_collapsed is true. Every other mean
+    runs the whole DEFAULT_Y_GRID, whatever its flags claim, and reports
+    the observed spread. A row whose terms are not all finite (the mean
     overflowed) is marked {"y": y, "finite": false} in per_y and left out
     of the best y and the spread; MeanDomainError if every row is.
     """
@@ -276,14 +277,10 @@ def kedlaya_estimate(mean: MeanSpec, lam: WeightSeq, N: int, *,
         raise HypothesisViolation(
             f"{lam.descriptor}: term/partial-sum ratios are not nonincreasing "
             f"over the first {N} terms")
-    if not y_grid:
-        raise ValueError("y_grid must be nonempty")
     W = np.cumsum(w)
-    if mean.flags.homogeneous:
-        y_grid = (1.0,)
     per_y = []
     best = None
-    for y in (float(v) for v in y_grid):
+    for y in (1.0,) if power_order(mean) is not None else DEFAULT_Y_GRID:
         a = _substitution_terms(mean, w, W, y)
         if not np.all(np.isfinite(a)):
             per_y.append({"y": y, "finite": False})

@@ -375,8 +375,8 @@ def _rand_positive(rng, logs=_ENTRY_LOGS):
     return math.exp(rng.uniform(*logs))
 
 
-def _rand_instance(rng, nmin=1, nmax=6):
-    n = rng.randint(nmin, nmax)
+def _rand_instance(rng):
+    n = rng.randint(1, 6)
     x = [_rand_positive(rng) for _ in range(n)]
     w = [_rand_positive(rng) for _ in range(n)]
     return x, w

@@ -1,6 +1,7 @@
 """Infinite positive weight sequences.
 
-Provides exact partial sums and tail bounds where closed forms exist,
+Provides exact partial sums and tail bounds where closed forms exist (one
+geometric closed form serves "ones", "dyadic" and "geometric:Q"),
 divergence bookkeeping (a finite prefix can never decide divergence, so
 verdicts come from closed-form knowledge only), term/partial-sum ratio
 diagnostics, block coarsening, and the exact prefix check for the
@@ -36,23 +37,21 @@ class WeightSeq:
 
     partial_sum(n) uses the supplied closed form when there is one and
     otherwise accumulates terms into a cache (filled once, lock-guarded).
-    total_sum certifies convergence and yields exact tail bounds;
+    tail_bound(n) bounds the mass beyond n, which certifies convergence;
     sum_diverges records closed-form divergence knowledge (None=unknown).
     """
 
     def __init__(self, descriptor: str, term: Callable[[int], Number], *,
                  partial_sum: Optional[Callable[[int], Number]] = None,
-                 total_sum: Optional[Number] = None,
                  tail_bound: Optional[Callable[[int], Number]] = None,
                  sum_diverges: Optional[bool] = None,
                  divergence_reason: str = "",
                  term_float: Optional[Callable[[int], float]] = None):
-        if total_sum is not None and sum_diverges:
-            raise ValueError("a sequence with a finite total cannot diverge")
+        if tail_bound is not None and sum_diverges:
+            raise ValueError("a sequence with a bounded tail cannot diverge")
         self.descriptor = descriptor
         self._term = term
         self._partial_sum = partial_sum
-        self._total_sum = total_sum
         self._tail_bound = tail_bound
         self.sum_diverges = sum_diverges
         self.divergence_reason = divergence_reason
@@ -98,11 +97,9 @@ class WeightSeq:
     def tail_bound(self, n: int) -> Optional[Number]:
         """Upper bound on the weight mass strictly beyond position n, when
         one can be certified; None otherwise."""
-        if self._tail_bound is not None:
-            return self._tail_bound(n)
-        if self._total_sum is not None:
-            return self._total_sum - self.partial_sum(n)
-        return None
+        if n < 0:
+            raise ValueError("tails start at n=0")
+        return None if self._tail_bound is None else self._tail_bound(n)
 
     # -- float views for array computations ----------------------------------
 
@@ -147,69 +144,60 @@ def as_float(w: WeightSeq) -> WeightSeq:
 # ---------------------------------------------------------------------------
 
 
+def _geometric(desc: str, q: Number, qf: float) -> WeightSeq:
+    """q^n for an exact ratio q = a/b > 0 (qf is q as a float).
+
+    Partial sums are n q at q = 1 and a (b^n - a^n) / (b^n (b - a))
+    otherwise; below 1 the tail beyond n is a^(n+1) / (b^n (b - a)). Each
+    is one Fraction of two integers (an int at q = 1).
+    """
+    a, b = q.numerator, q.denominator
+
+    def psum(n):
+        if a == b:
+            return n * q
+        bn = b ** n
+        return Fraction(a * (bn - a ** n), bn * (b - a))
+
+    converges = q < 1
+    return WeightSeq(
+        desc, lambda n: q ** n,
+        partial_sum=psum,
+        tail_bound=(lambda n: Fraction(a ** (n + 1), b ** n * (b - a))) if converges else None,
+        sum_diverges=not converges,
+        divergence_reason=f"geometric with ratio {format_number(q)} "
+                          f"{'<' if converges else '>='} 1",
+        term_float=lambda n: qf ** n)
+
+
 def make_sequence(spec: str) -> WeightSeq:
     """Build a weight sequence from a descriptor.
 
-    Descriptors: "ones", "dyadic" (2^-n), "geometric:Q" with a positive
-    ratio like "1/2" or "2" (rational literals stay exact), and
-    "perturbed-dyadic:K" (dyadic with the K-th term raised to 1), and
-    "power:ALPHA" (n^alpha; exact for integer alpha).
+    Descriptors: "geometric:Q" (Q^n) with a positive ratio like "1/2" or
+    "2" (rational literals stay exact), its special cases "ones" (Q = 1)
+    and "dyadic" (Q = 1/2, so 2^-n), "perturbed-dyadic:K" (dyadic with the
+    K-th term raised to 1), and "power:ALPHA" (n^alpha; exact for integer
+    alpha). Convergent descriptors carry a tail bound: the exact tail for
+    the geometric and perturbed-dyadic ones, the integral bound
+    n^(alpha+1) / (-alpha-1) for power (a Fraction for integer alpha, a
+    float otherwise).
     """
     token = spec.strip()
     head, sep, arg = token.partition(":")
 
     if head == "ones" and not sep:
-        return WeightSeq(
-            "ones", lambda n: 1,
-            partial_sum=lambda n: n,
-            sum_diverges=True, divergence_reason="constant terms",
-            term_float=lambda n: 1.0)
-
-    # closed forms build each partial sum as one Fraction of two integers
+        return _geometric("ones", 1, 1.0)
     if head == "dyadic" and not sep:
-        return WeightSeq(
-            "dyadic", lambda n: Fraction(1, 2 ** n),
-            partial_sum=lambda n: Fraction(2 ** n - 1, 2 ** n),
-            total_sum=Fraction(1),
-            sum_diverges=False, divergence_reason="geometric with ratio 1/2",
-            term_float=lambda n: math.ldexp(1.0, -n))
-
+        return _geometric("dyadic", Fraction(1, 2), 0.5)
     if head == "geometric" and sep:
         q = parse_number(arg)
         if isinstance(q, float) and not math.isfinite(q):
             raise ValueError("geometric ratio must be finite")
         if not q > 0:
             raise ValueError("geometric ratio must be positive")
-        qf = parse_float(arg)  # refuses a literal beyond the float range
-        desc = f"geometric:{format_number(q)}"
-        if q == 1:
-            return WeightSeq(
-                desc, lambda n: q ** n,
-                partial_sum=lambda n: n * q,
-                sum_diverges=True, divergence_reason="ratio 1 (constant terms)",
-                term_float=lambda n: 1.0)
-        # q = a/b exactly (parse_number makes every finite literal exact), and
-        # sum_{k<=n} q^k = a (b^n - a^n) / (b^n (b - a))
-        a, b = q.numerator, q.denominator
-
-        def psum(n):
-            bn = b ** n
-            return Fraction(a * (bn - a ** n), bn * (b - a))
-
-        if q < 1:
-            return WeightSeq(
-                desc, lambda n: q ** n,
-                partial_sum=psum,
-                total_sum=Fraction(a, b - a),
-                sum_diverges=False,
-                divergence_reason=f"geometric with ratio {format_number(q)} < 1",
-                term_float=lambda n: qf ** n)
-        return WeightSeq(
-            desc, lambda n: q ** n,
-            partial_sum=psum,
-            sum_diverges=True,
-            divergence_reason=f"geometric with ratio {format_number(q)} >= 1",
-            term_float=lambda n: qf ** n)
+        # parse_number makes every finite literal exact; parse_float refuses
+        # a literal beyond the float range
+        return _geometric(f"geometric:{format_number(q)}", q, parse_float(arg))
 
     if head == "perturbed-dyadic" and sep:
         try:
@@ -227,10 +215,16 @@ def make_sequence(spec: str) -> WeightSeq:
             extra = 2 ** n - 2 ** (n - _k) if n >= _k else 0
             return Fraction(2 ** n - 1 + extra, 2 ** n)
 
+        def tail(n, _k=k):
+            # the dyadic tail 2^-n, plus 1 - 2^-k before the bump
+            if n >= _k:
+                return Fraction(1, 2 ** n)
+            return Fraction(2 ** (_k - n) + 2 ** _k - 1, 2 ** _k)
+
         return WeightSeq(
             f"perturbed-dyadic:{k}", term,
             partial_sum=psum,
-            total_sum=Fraction(2 ** (k + 1) - 1, 2 ** k),
+            tail_bound=tail,
             sum_diverges=False,
             divergence_reason="dyadic with a single bumped term",
             term_float=lambda n, _k=k: 1.0 if n == _k else math.ldexp(1.0, -n))
@@ -399,11 +393,11 @@ def coarsen(w: WeightSeq, blocks: Sequence[int]) -> WeightSeq:
         divergence_reason=w.divergence_reason)
 
 
-def _match_partial_sums(psi: WeightSeq, lam: WeightSeq, terms: int, *,
-                        max_steps: int = MAX_WALK_STEPS) -> Optional[List[int]]:
+def _match_partial_sums(psi: WeightSeq, lam: WeightSeq, terms: int) -> Optional[List[int]]:
     """Indices n_m with psi.partial_sum(m) == lam.partial_sum(n_m) for
     m = 1..terms, or None once a partial sum of psi falls strictly between
-    two consecutive partial sums of lam."""
+    two consecutive partial sums of lam. RuntimeError after MAX_WALK_STEPS
+    terms of lam."""
     if not (psi.exact and lam.exact):
         raise TypeError("partition-order check requires exact-rational sequences")
     out: List[int] = []
@@ -412,9 +406,9 @@ def _match_partial_sums(psi: WeightSeq, lam: WeightSeq, terms: int, *,
     for m in range(1, terms + 1):
         target = psi.partial_sum(m)
         while lam_sum < target:
-            if n >= max_steps:
+            if n >= MAX_WALK_STEPS:
                 raise RuntimeError(
-                    f"walked {max_steps} terms of {lam.descriptor} without "
+                    f"walked {MAX_WALK_STEPS} terms of {lam.descriptor} without "
                     f"reaching partial sum {m} of {psi.descriptor}")
             n += 1
             lam_sum = lam.partial_sum(n)
@@ -424,8 +418,7 @@ def _match_partial_sums(psi: WeightSeq, lam: WeightSeq, terms: int, *,
     return out
 
 
-def is_coarsening_of(psi: WeightSeq, lam: WeightSeq, terms: int, *,
-                     max_steps: int = MAX_WALK_STEPS) -> bool:
+def is_coarsening_of(psi: WeightSeq, lam: WeightSeq, terms: int) -> bool:
     """Exact prefix certificate for the partition order: the first `terms`
     partial sums of psi all occur among the partial sums of lam.
 
@@ -434,4 +427,4 @@ def is_coarsening_of(psi: WeightSeq, lam: WeightSeq, terms: int, *,
     """
     if terms < 1:
         raise ValueError("need terms >= 1")
-    return _match_partial_sums(psi, lam, terms, max_steps=max_steps) is not None
+    return _match_partial_sums(psi, lam, terms) is not None

@@ -5,13 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hardylab import hardy
 from hardylab.families import make_generator, power, quasiarithmetic
 from hardylab.hardy import (HypothesisViolation, InconclusiveError,
                             arithmetic_hardy, copson_constant,
                             finite_lower_bound, geometric_probe,
                             kedlaya_estimate, kedlaya_sequence,
                             unweighted_limit)
-from hardylab.kernel import MeanDomainError, evaluate
+from hardylab.kernel import MeanDomainError, MeanFlags, evaluate
 from hardylab.search import OptimizerConfig
 from hardylab.weights import WeightSeq, make_sequence, random_rational_sequence
 
@@ -75,6 +76,17 @@ class TestArithmeticHardy:
         lam = make_sequence("dyadic")
         manual = sum(lam.term(n) / lam.partial_sum(n) for n in range(1, 11))
         assert est.lower == manual
+
+    def test_fractional_power_interval_contains_a_longer_partial_sum(self):
+        # power:-3/2 has a float integral tail bound, so the interval is float
+        lam = make_sequence("power:-3/2")
+        est = arithmetic_hardy(lam, 100, certified=True)
+        assert (est.lower, est.upper) == pytest.approx(
+            (1.824344466227119, 1.907233167343952), rel=1e-12)
+        w = lam.terms_floats(10 ** 5)
+        longer = float(np.sum(w / np.cumsum(w)))
+        assert longer == pytest.approx(1.9013577, abs=1e-7)
+        assert est.lower <= longer <= est.upper
 
     def test_divergent_weights_cannot_be_certified(self):
         with pytest.raises(InconclusiveError):
@@ -236,7 +248,7 @@ class TestKedlaya:
         assert est.diagnostics["grid_spread"] > 1e-6
         assert len(est.diagnostics["per_y"]) == 21
 
-    def test_overflowed_rows_are_left_out_of_the_grid(self):
+    def test_overflowed_rows_are_left_out_of_the_grid(self, monkeypatch):
         # an exponential mean under a built-in's name: exp(y / W_1) overflows
         # at y = 1024, which reported inf (and warned) as the best row
         expo = quasiarithmetic(make_generator("log", np.exp, np.log))
@@ -248,8 +260,25 @@ class TestKedlaya:
         assert math.isfinite(est.diagnostics["grid_spread"])
         assert est.diagnostics["per_y"][-1] == {"y": 1024.0, "finite": False}
         assert len(est.diagnostics["per_y"]) == 21
+        monkeypatch.setattr(hardy, "DEFAULT_Y_GRID", (1024.0,))
         with pytest.raises(MeanDomainError, match="no y of the grid gives finite terms"):
-            kedlaya_estimate(expo, make_sequence("ones"), 2000, y_grid=(1024.0,))
+            kedlaya_estimate(expo, make_sequence("ones"), 2000)
+
+    def test_a_homogeneity_claim_does_not_collapse_the_grid(self):
+        # an exponential mean is not homogeneous; claiming it once made the
+        # route evaluate y = 1 alone and report the grid collapsed
+        gen = make_generator("exp", np.exp, np.log)
+        claimed = quasiarithmetic(gen, MeanFlags(symmetric=True, monotone=True,
+                                                 homogeneous=True))
+        lam = make_sequence("ones")
+        est = kedlaya_estimate(claimed, lam, 64)
+        ref = kedlaya_estimate(quasiarithmetic(gen), lam, 64)
+        assert est.value == ref.value == pytest.approx(31.7834, abs=1e-4)
+        for key in ("y_best", "per_y", "grid_collapsed"):
+            assert est.diagnostics[key] == ref.diagnostics[key]
+        assert est.diagnostics["y_best"] == 512.0
+        assert len(est.diagnostics["per_y"]) == 21
+        assert not est.diagnostics["grid_collapsed"]
 
     def test_convergent_weights_refused(self):
         with pytest.raises(HypothesisViolation, match="diverge"):

@@ -11,6 +11,7 @@ from hardylab.kernel import (MeanFlags, MeanSpec, StepFunction, check_axioms,
                              step_profile)
 from hardylab.families import (make_generator, order_regime, parse_mean, power,
                                power_mean, quasiarithmetic, quasiarithmetic_mean)
+from hardylab.scalars import json_ready
 
 ARITH = parse_mean("arithmetic")
 # two or more orders in each families.order_regime
@@ -288,6 +289,9 @@ class TestCheckAxioms:
         assert oc.witness is not None
         replayed = replay_axiom(mean, "nullhomogeneity", oc.witness)
         assert replayed == pytest.approx(oc.worst_violation, abs=1e-9)
+        out = rep.to_json()["outcomes"]["nullhomogeneity"]
+        assert not out["passed"]
+        assert out["witness"] == json_ready(oc.witness)
 
     def test_report_serializes(self):
         rep = check_axioms(power(1.0), trials=10, seed=0)

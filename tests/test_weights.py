@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardylab import weights
 from hardylab.weights import (WeightSeq, as_float, coarsen, is_coarsening_of,
                               make_sequence, random_rational_sequence,
                               ratio_diagnostics)
@@ -63,8 +64,9 @@ class TestDescriptors:
         s = make_sequence("perturbed-dyadic:3")
         assert s.term(3) == 1 and s.term(2) == Fraction(1, 4)
         assert s.tail_bound(5) == Fraction(1, 32)
-        total = s.partial_sum(5) + s.tail_bound(5)
-        assert total == 2 - Fraction(1, 8)
+        # the tail is stated directly, before and after the bump
+        for n in range(0, 8):
+            assert s.partial_sum(n) + s.tail_bound(n) == 2 - Fraction(1, 8)
 
     def test_power_integer_exponent_exact(self):
         s = make_sequence("power:2")
@@ -79,6 +81,16 @@ class TestDescriptors:
         bound = s.tail_bound(10)
         true_tail = sum(1.0 / k ** 2 for k in range(11, 20_000))
         assert true_tail < bound < 2 * true_tail
+
+    def test_fractional_power_tail_bound_dominates_true_tail(self):
+        # the float integral bound 2 / sqrt(n) against zeta(3/2) minus the
+        # partial sum
+        zeta_3_2 = 2.612375348685488
+        s = make_sequence("power:-3/2")
+        sums = s.partial_sums_floats(50)
+        for n, bound in ((1, 2.0), (5, 0.894427190999916), (50, 0.282842712474619)):
+            assert s.tail_bound(n) == pytest.approx(bound, rel=1e-12)
+            assert s.tail_bound(n) >= zeta_3_2 - sums[n - 1]
 
     @pytest.mark.parametrize("alpha", [-2, -3, -7])
     def test_integer_power_tail_bound_is_exact(self, alpha):
@@ -113,6 +125,13 @@ class TestDescriptors:
     def test_term_indexing_starts_at_one(self):
         with pytest.raises(ValueError):
             make_sequence("ones").term(0)
+        with pytest.raises(ValueError, match="tails start at n=0"):
+            make_sequence("perturbed-dyadic:3").tail_bound(-1)
+
+    def test_a_bounded_tail_cannot_diverge(self):
+        with pytest.raises(ValueError, match="cannot diverge"):
+            WeightSeq("both", lambda n: Fraction(1, 2 ** n),
+                      tail_bound=lambda n: Fraction(1, 2 ** n), sum_diverges=True)
 
 
 class TestFloatViews:
@@ -242,11 +261,12 @@ class TestCoarseningOrder:
             is_coarsening_of(as_float(make_sequence("dyadic")),
                              make_sequence("dyadic"), 2)
 
-    def test_walk_budget(self):
+    def test_walk_budget(self, monkeypatch):
         lam = make_sequence("geometric:1/2")  # partial sums < 1 forever
         two = WeightSeq("two", lambda n: 2 * n)
-        with pytest.raises(RuntimeError, match="without reaching"):
-            is_coarsening_of(two, lam, 1, max_steps=50)
+        monkeypatch.setattr(weights, "MAX_WALK_STEPS", 50)
+        with pytest.raises(RuntimeError, match="walked 50 terms .* without reaching"):
+            is_coarsening_of(two, lam, 1)
 
 
 class TestRandomRational:
