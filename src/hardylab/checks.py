@@ -1,11 +1,12 @@
 """Constructive rearrangement and executable comparison checks.
 
 Implements the equal-sum nonincreasing rearrangement (sort, then pour the
-exact Fraction weight masses back into blocks and average), the
-prefix-mean comparison it feeds, the coarsening comparison at matched
-truncations (exact sums for the arithmetic mean, section certificates for
-other power orders), nonincreasing running means of step profiles, the
-perturbed dyadic family's constants, and the sup-at-ones cap sweep.
+weights, as integer masses over one common denominator, back into blocks
+and average), the prefix-mean comparison it feeds, the coarsening
+comparison at matched truncations (exact sums for the arithmetic mean,
+section certificates for other power orders), nonincreasing running means
+of step profiles, the perturbed dyadic family's constants, and the
+sup-at-ones cap sweep.
 
 Checks that assert a theorem under its hypotheses report pass/fail and a
 signed worst margin (the minimum slack of the asserted inequality;
@@ -24,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .scalars import Number, all_exact, json_ready
+from .scalars import Number, all_exact, integer_masses, json_ready
 from .kernel import MeanSpec, StepFunction, _check_weights, evaluate, interval_mean
 from .families import parse_mean, power_order
 from .weights import WeightSeq, _match_partial_sums, make_sequence, random_rational_sequence
@@ -35,8 +36,8 @@ DEFAULT_MARGIN_TOL = 1e-10
 
 
 class ExpansionBudgetError(RuntimeError):
-    """No longer raised: the rearrangement merges exact Fraction weights
-    without expanding them. Kept so code that catches it still imports."""
+    """No longer raised: the rearrangement merges exact weights without
+    expanding them. Kept so code that catches it still imports."""
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,13 @@ def equal_sum_rearrangement(x: Sequence[Number], w) -> RearrangementResult:
     """Sort x into nonincreasing block averages without moving weight.
 
     Sorts the (value, weight) pairs by value, nonincreasing, and pours
-    their exact Fraction masses back into blocks of the original weights,
-    each block taking the average of what it received. The weighted sum
-    is preserved exactly; the output is nonincreasing even when x was not.
+    their masses back into blocks of the original weights, each block
+    taking the average of what it received. Weights and values are both
+    Python integers over a common denominator each
+    (scalars.integer_masses), so the pouring is integer arithmetic with
+    one Fraction per block, and numpy integer weights cannot wrap. The
+    weighted sum is preserved exactly; the output is nonincreasing even
+    when x was not.
     """
     ws = tuple(w)
     _check_weights(ws)
@@ -109,21 +114,22 @@ def equal_sum_rearrangement(x: Sequence[Number], w) -> RearrangementResult:
         raise ValueError("x and w must have equal length")
     if any(isinstance(v, float) and not math.isfinite(v) for v in x):
         raise ValueError(f"x entries must be finite, got {list(x)!r}")
-    ws = [Fraction(v) for v in ws]
+    masses, _ = integer_masses(ws)
     xs = [Fraction(v) for v in x]
-    runs = iter(sorted(zip(xs, ws), key=lambda t: t[0], reverse=True))
+    nums, dx = integer_masses(xs)  # x_i = nums[i] / dx
+    runs = iter(sorted(zip(nums, masses), key=lambda t: t[0], reverse=True))
     v, left = next(runs)  # value of the current run and its mass not yet poured
     y: List[Fraction] = []
-    for m in ws:
-        need, acc = m, Fraction(0)
+    for m in masses:
+        need, acc = m, 0
         while left < need:  # the block takes the rest of this run
             acc += v * left
             need -= left
             v, left = next(runs)
         acc += v * need
         left -= need
-        y.append(acc / m)
-    assert sum(a * b for a, b in zip(y, ws)) == sum(a * b for a, b in zip(xs, ws))
+        y.append(Fraction(acc, dx * m))
+    assert sum(a * b for a, b in zip(y, masses)) == sum(a * b for a, b in zip(xs, masses))
     return RearrangementResult(y=tuple(y))
 
 

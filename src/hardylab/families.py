@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
 from .kernel import MeanDomainError, MeanFlags, MeanSpec, evaluate
-from .scalars import all_exact, format_number, parse_float
+from .scalars import all_exact, format_number, integer_masses, parse_float
 
 # The order policy shared by power_mean and the search's prefix_means.
 # Below GEOMETRIC_ORDER_CUTOFF an order behaves as 0 (geometric), above
@@ -48,11 +47,19 @@ def order_regime(p: float) -> str:
 def _normalized_weights(entries: tuple) -> list:
     """Checked weight entries (positive, finite where floats; see
     kernel.MeanSpec) scaled to unit total, exactly in rational mode so
-    that rescaling the weight vector cancels exactly."""
-    total = sum(entries)
+    that rescaling the weight vector cancels exactly.
+
+    Rational entries become integer masses m_i over one common denominator
+    (scalars.integer_masses), and weight i is m_i / sum(m): CPython's
+    int / int is correctly rounded, as is float(Fraction), so each weight
+    equals float(Fraction(e) / sum(entries)) bit for bit, without a
+    Fraction operation per entry.
+    """
     if all_exact(entries):
-        return [float(Fraction(e) / total) for e in entries]
-    ft = float(total)
+        masses, _ = integer_masses(entries)
+        total = sum(masses)
+        return [m / total for m in masses]
+    ft = float(sum(entries))
     return [float(e) / ft for e in entries]
 
 

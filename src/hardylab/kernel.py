@@ -14,9 +14,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .scalars import Number, all_exact, json_ready
+from .scalars import Number, all_exact, integer_masses, json_ready
 
 DEFAULT_AXIOM_TOL = 1e-9
 
@@ -63,14 +64,21 @@ class MeanSpec:
         return self.name or self.family
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
 def _check_weights(ws: tuple) -> None:
     """Every weight positive, and finite unless it is an int or a Fraction:
     exact weights of any size pass (math.isfinite would overflow on them),
     and numpy scalars that are not Python floats are tested too."""
     if not ws:
         raise ValueError("weight vector needs at least one entry")
-    try:  # one pass each in C; the loop below is the definition
-        if min(ws) > 0 and all(map(math.isfinite, ws)):
+    try:  # fast passes; the loop below is the definition
+        if type(ws[0]) in _EXACT_TYPES and _EXACT_TYPES.issuperset(map(type, ws)):
+            # a Fraction's denominator is positive: no Fraction comparison
+            if all(w.numerator > 0 for w in ws):
+                return
+        elif min(ws) > 0 and all(map(math.isfinite, ws)):
             return
     except (TypeError, ValueError, OverflowError):
         pass
@@ -173,13 +181,16 @@ class StepFunction:
 
 def step_profile(x, w) -> StepFunction:
     """Step function carrying (x, w): value x_k on [L_{k-1}, L_k), where
-    L are the weight partial sums (exact breakpoints for rational w)."""
+    L are the weight partial sums (exact breakpoints for rational w, summed
+    as Python integer masses, so numpy integer weights cannot wrap)."""
     xs, ws = _checked(x, w)
-    acc = 0 if all_exact(ws) else 0.0
-    sums = [acc]
-    for e in ws:
-        acc = acc + e
-        sums.append(acc)
+    if all_exact(ws):
+        masses, d = integer_masses(ws)
+        sums = accumulate(masses, initial=0)
+        if d > 1:
+            sums = (Fraction(s, d) for s in sums)
+    else:
+        sums = accumulate(ws, initial=0.0)
     return StepFunction(tuple(sums), xs)
 
 

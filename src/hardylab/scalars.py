@@ -8,7 +8,7 @@ import math
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from numbers import Rational
-from typing import Any, Iterable, Sequence, Union
+from typing import Any, Iterable, List, Sequence, Tuple, Union
 
 Number = Union[int, float, Fraction]
 
@@ -36,6 +36,26 @@ def exact_sum(values: Iterable[Number]) -> Number:
             merged.append(level[-1])
         level = merged
     return sum(level)  # 0 when there are no values, as sum() gives
+
+
+def integer_masses(values: Iterable[Rational]) -> Tuple[List[int], int]:
+    """Exact rationals as integer masses over one common denominator:
+    (masses, D) with values[i] == masses[i] / D and D the lcm of the
+    denominators, all Python ints.
+
+    Every numerator and denominator goes through int(), so numpy integers
+    become Python ints and sums of the masses cannot wrap.
+    """
+    nums, dens = [], []
+    for v in values:
+        if type(v) is int:
+            nums.append(v)
+            dens.append(1)
+        else:
+            nums.append(int(v.numerator))
+            dens.append(int(v.denominator))
+    d = math.lcm(*dens)
+    return [n * (d // k) for n, k in zip(nums, dens)], d
 
 
 def exact_ratio(a: Rational, b: Rational) -> Fraction:

@@ -179,8 +179,8 @@ def make_sequence(spec: str) -> WeightSeq:
     K-th term raised to 1), and "power:ALPHA" (n^alpha; exact for integer
     alpha). Convergent descriptors carry a tail bound: the exact tail for
     the geometric and perturbed-dyadic ones, the integral bound
-    n^(alpha+1) / (-alpha-1) for power (a Fraction for integer alpha, a
-    float otherwise).
+    n^(alpha+1) / (-alpha-1) for power, and 1 + 1/(-alpha-1) for its whole
+    mass at n = 0 (a Fraction for integer alpha, a float otherwise).
     """
     token = spec.strip()
     head, sep, arg = token.partition(":")
@@ -248,11 +248,13 @@ def make_sequence(spec: str) -> WeightSeq:
         else:
             div = False
             reason = f"p-series with exponent {format_number(alpha)} < -1"
-            # the integral bound n^(alpha+1) / (-alpha-1), exact for integer alpha
+            # the integral bound n^(alpha+1) / (-alpha-1), exact for integer
+            # alpha; at n = 0 the first term plus the bound beyond 1
             if integral:
-                tail = lambda n, _b=-a_int - 1: Fraction(1, _b * n ** _b)
+                tail = lambda n, _b=-a_int - 1: \
+                    Fraction(1, _b * n ** _b) if n else 1 + Fraction(1, _b)
             else:
-                tail = lambda n: float(n) ** (af + 1) / (-af - 1)
+                tail = lambda n: float(n) ** (af + 1) / (-af - 1) if n else 1 + 1 / (-af - 1)
         return WeightSeq(
             desc, term, tail_bound=tail,
             sum_diverges=div, divergence_reason=reason,

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +80,14 @@ class TestRearrangement:
         with pytest.raises(ValueError):
             equal_sum_rearrangement((1, 2, 3), (1, 2))
 
+    @pytest.mark.parametrize("x, w", [([1, 3], [2 ** 62, 2 ** 62]),
+                                      ([5, 1, 3], [2 ** 63 - 1, 1, 2 ** 62])])
+    def test_numpy_integer_weights_do_not_wrap(self, x, w):
+        # np.int64 sums past 2**63 would wrap, giving (-1, 1) for the
+        # first case; the masses are Python ints
+        big = [np.int64(v) for v in w]
+        assert equal_sum_rearrangement(x, big).y == equal_sum_rearrangement(x, w).y
+
     def test_serializes_with_both_exact_and_float_views(self):
         out = equal_sum_rearrangement((1, 2), (Fraction(1, 2), Fraction(1, 3))).to_json()
         assert out["y"] == ["5/3", 1]  # integral fractions collapse to ints
@@ -99,8 +108,10 @@ class TestRearrangement:
         assert again.y == res.y
 
     @given(x=st.lists(fractions_pos, min_size=1, max_size=6),
-           w=st.lists(st.fractions(min_value=Fraction(1, 6), max_value=4,
-                                   max_denominator=6), min_size=1, max_size=6))
+           w=st.one_of(st.lists(st.fractions(min_value=Fraction(1, 6), max_value=4,
+                                             max_denominator=6), min_size=1, max_size=6),
+                       st.lists(st.integers(min_value=1, max_value=12), min_size=1,
+                                max_size=6)))
     @settings(max_examples=80, deadline=None)
     def test_matches_unit_atom_expansion(self, x, w):
         n = min(len(x), len(w))

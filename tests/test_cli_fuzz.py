@@ -29,7 +29,7 @@ NUMBERS = ["1", "2", "1/2", "3/4", "0", "-1", "inf", "-inf", "nan", "1e400", "-1
            "1e-400", "0.5", "abc", "3/0"]
 COUNTS = ["1", "2", "3", "5", "8", "0", "-1", "1/2", "nan"]
 LISTS = ["1,2", "3,1,2", "1/2,1/3", "4,2,1", "1", "1,,2", "inf,1", "1e400,1",
-         "0,1", "-1,2", "0.5,1", "nan,1", ",", "1;2"]
+         "0,1", "-1,2", "0.5,1", "nan,1", ",", "1;2", "1/1" + "0" * 400 + ",1,1"]
 BLOCKS = ["1", "2", "2,1", "1,3,2", "0", "-1", "2,x"]
 SEEDS = ["0", "1", "7"]
 

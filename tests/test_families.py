@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from hardylab.hardy import DEFAULT_Y_GRID, kedlaya_estimate
 from hardylab.kernel import MeanDomainError, MeanFlags, check_axioms, evaluate
-from hardylab.families import (GeneratorHandle, builtin_generator, make_generator,
-                               order_regime, parse_mean, power, power_mean, power_order,
-                               quasiarithmetic, quasiarithmetic_mean)
+from hardylab.families import (GeneratorHandle, _normalized_weights, builtin_generator,
+                               make_generator, order_regime, parse_mean, power,
+                               power_mean, power_order, quasiarithmetic,
+                               quasiarithmetic_mean)
 from hardylab.weights import make_sequence
 
 positive = st.floats(min_value=0.05, max_value=50, allow_nan=False)
@@ -91,6 +92,22 @@ class TestPowerMeanValues:
         a = power_mean(2.0, [1, 3], [Fraction(2, 7), Fraction(1, 7)])
         b = power_mean(2.0, [1, 3], [2, 1])
         assert a == b
+
+    @given(st.lists(st.one_of(
+        st.integers(1, 10 ** 6),
+        st.integers(10 ** 399, 10 ** 400),
+        st.fractions(min_value=Fraction(1, 10 ** 6), max_value=10 ** 6),
+        st.builds(Fraction, st.integers(1, 10 ** 400), st.integers(1, 10 ** 400)),
+        st.integers(2 ** 62 - 2 ** 20, 2 ** 62 + 2 ** 20).map(np.int64),
+    ), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_masses_normalize_as_fractions_do(self, entries):
+        # the exact branch divides integer masses; the reference is the
+        # Fraction route, on Python ints (sums of np.int64 entries wrap)
+        got = _normalized_weights(tuple(entries))
+        entries = [int(e) if isinstance(e, np.integer) else e for e in entries]
+        assert got == [float(Fraction(e) / sum(entries)) for e in entries]
+        assert all(type(v) is float for v in got)
 
     @given(x=st.lists(positive, min_size=1, max_size=6), data=st.data())
     @settings(max_examples=80, deadline=None)

@@ -123,6 +123,19 @@ class TestOneBoundaryCheck:
             assert evaluate(mean, x, w) == evaluate(mean, x.tolist(), w.tolist())
         assert step_profile(x, w) == step_profile(x.tolist(), w.tolist())
 
+    @pytest.mark.parametrize("mean, x, w", [
+        (power(1), [1, 4, 9], [2 ** 62, 2 ** 62, 1]),  # 2.5, not 1.0
+        (power(0.5), [1, 4], [2 ** 62, 2 ** 62]),  # not a math domain error
+        (quasiarithmetic(CUBE), [1, 4], [2 ** 63 - 1, 2 ** 63 - 1]),
+    ])
+    def test_numpy_integer_weights_do_not_wrap(self, mean, x, w):
+        # sums of np.int64 weights past 2**63 would wrap; each call equals
+        # the call with the same Python ints
+        big = [np.int64(v) for v in w]
+        assert evaluate(mean, x, big) == evaluate(mean, x, w)
+        assert step_profile(x, big) == step_profile(x, w)
+        assert all(type(b) is int for b in step_profile(x, big).breakpoints)
+
     @settings(max_examples=300, deadline=None)
     @given(p=st.one_of(st.sampled_from(ORDERS_BY_REGIME),
                        st.floats(-40, 40, allow_nan=False)),

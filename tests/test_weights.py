@@ -92,6 +92,18 @@ class TestDescriptors:
             assert s.tail_bound(n) == pytest.approx(bound, rel=1e-12)
             assert s.tail_bound(n) >= zeta_3_2 - sums[n - 1]
 
+    @pytest.mark.parametrize("desc, zeta, whole, exact", [
+        ("power:-2", 1.6449340668482264, 2, True),
+        ("power:-3/2", 2.612375348685488, 3, False)])
+    def test_power_tail_at_zero_bounds_the_whole_mass(self, desc, zeta, whole, exact):
+        # the first term plus the integral bound beyond 1, 1 + 1/(-alpha-1),
+        # where n^(alpha+1) / (-alpha-1) would divide by zero
+        s = make_sequence(desc)
+        bound = s.tail_bound(0)
+        assert bound == whole and isinstance(bound, Fraction) is exact
+        assert bound >= zeta and bound >= s.tail_bound(1)
+        assert coarsen(s, [2, 3]).tail_bound(0) == bound
+
     @pytest.mark.parametrize("alpha", [-2, -3, -7])
     def test_integer_power_tail_bound_is_exact(self, alpha):
         s = make_sequence(f"power:{alpha}")
