@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .scalars import Number, all_exact, integer_masses, json_ready
+from .scalars import Number, all_exact, integer_masses, json_ready, rational_fsum
 from .kernel import MeanSpec, StepFunction, _check_weights, evaluate, interval_mean
 from .families import parse_mean, power_order
 from .weights import WeightSeq, _match_partial_sums, make_sequence, random_rational_sequence
@@ -106,6 +106,11 @@ def equal_sum_rearrangement(x: Sequence[Number], w) -> RearrangementResult:
     weighted sum is preserved exactly; the output is nonincreasing even
     when x was not.
     """
+    return RearrangementResult(y=_pour(x, w)[0])
+
+
+def _pour(x: Sequence[Number], w) -> Tuple[Tuple[Fraction, ...], List[int]]:
+    """equal_sum_rearrangement's y, and the integer masses of the weights."""
     ws = tuple(w)
     _check_weights(ws)
     if not all_exact(ws):
@@ -130,7 +135,7 @@ def equal_sum_rearrangement(x: Sequence[Number], w) -> RearrangementResult:
         left -= need
         y.append(Fraction(acc, dx * m))
     assert sum(a * b for a, b in zip(y, masses)) == sum(a * b for a, b in zip(xs, masses))
-    return RearrangementResult(y=tuple(y))
+    return tuple(y), masses
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +147,12 @@ def _claims_hypotheses(mean: MeanSpec) -> bool:
     return mean.flags.monotone and mean.flags.concave
 
 
+# families whose MeanSpec.fn uses the weights only through
+# families._normalized_weights, which gives integer masses and the rationals
+# they stand for the same floats bit for bit
+_NORMALIZING_FAMILIES = frozenset(("power", "quasiarithmetic"))
+
+
 def verify_jcin(mean: MeanSpec, x: Sequence[Number], w,
                 tol: float = DEFAULT_MARGIN_TOL) -> CheckReport:
     """Prefix means of x never exceed those of its rearrangement.
@@ -149,18 +160,22 @@ def verify_jcin(mean: MeanSpec, x: Sequence[Number], w,
     Claimed for symmetric monotone concave means; for means that do not
     claim those flags this runs as a counterexample probe on the single
     instance. margin is the minimum over prefixes of (rearranged mean -
-    original mean).
+    original mean). Power and quasi-arithmetic means are evaluated on the
+    integer masses of the whole weight vector, found once by the
+    rearrangement, instead of normalizing every prefix's weights anew; any
+    other mean receives the caller's weights.
     """
     ws = list(w)
-    res = equal_sum_rearrangement(x, ws)
+    y, masses = _pour(x, ws)
+    mean_w = masses if mean.family in _NORMALIZING_FAMILIES else ws
     xs = [float(v) for v in x]
-    ys = list(res.y_floats())
+    ys = [float(v) for v in y]
     margin = math.inf
     worst_n = 0
     lhs_w = rhs_w = 0.0
     for n in range(1, len(xs) + 1):
-        lhs = evaluate(mean, xs[:n], ws[:n])
-        rhs = evaluate(mean, ys[:n], ws[:n])
+        lhs = evaluate(mean, xs[:n], mean_w[:n])
+        rhs = evaluate(mean, ys[:n], mean_w[:n])
         if rhs - lhs < margin:
             margin, worst_n, lhs_w, rhs_w = rhs - lhs, n, lhs, rhs
     ok = margin >= -tol
@@ -171,7 +186,7 @@ def verify_jcin(mean: MeanSpec, x: Sequence[Number], w,
     return CheckReport(
         check="jcin", passed=ok, outcome=outcome, instances=1, margin=margin,
         witness={
-            "x": list(x), "w": ws, "y": res.y,
+            "x": list(x), "w": ws, "y": y,
             "prefix": worst_n, "original_mean": lhs_w, "rearranged_mean": rhs_w,
         },
         details={"mean": mean.name, "hypotheses_claimed": _claims_hypotheses(mean)})
@@ -372,18 +387,26 @@ class LscReport:
 
 
 def lsc_example_table(kmax: int, N: int = 200) -> LscReport:
-    """Arithmetic constants of perturbed-dyadic weights for k = 1..kmax."""
+    """Arithmetic constants of perturbed-dyadic weights for k = 1..kmax,
+    truncated at N.
+
+    The baseline and every row are the correctly rounded floats of the
+    exact partial sums of w_n/W_n, the values arithmetic_hardy reports.
+    They are computed by scalars.rational_fsum from the exact term ratios,
+    which brackets each sum between two integers instead of building it
+    as a Fraction.
+    """
     if kmax < 1:
         raise ValueError("need kmax >= 1")
     if N < kmax + 8:
         raise ValueError("N must exceed kmax by a safe truncation margin")
-    base = _hardy.arithmetic_hardy(make_sequence("dyadic"), N).value
-    rows = []
-    for k in range(1, kmax + 1):
-        seq = make_sequence(f"perturbed-dyadic:{k}")
-        rows.append((k, _hardy.arithmetic_hardy(seq, N).value))
-    return LscReport(rows=tuple(rows), baseline=base,
-                     limit_value=base + 0.5, N=N)
+
+    def constant(descriptor: str) -> float:
+        return rational_fsum(_hardy._term_ratios(make_sequence(descriptor), N))
+
+    base = constant("dyadic")
+    rows = tuple((k, constant(f"perturbed-dyadic:{k}")) for k in range(1, kmax + 1))
+    return LscReport(rows=rows, baseline=base, limit_value=base + 0.5, N=N)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared numeric helpers: exact-vs-float bookkeeping, extended reals,
-exact sums and ratios of rationals, and parsing/formatting of number
-literals ("p/q", decimals, "inf")."""
+exact sums and ratios of rationals, the correctly rounded float of an
+exact sum from an integer bracket (rational_fsum), and parsing/formatting
+of number literals ("p/q", decimals, "inf")."""
 
 from __future__ import annotations
 
@@ -36,6 +37,50 @@ def exact_sum(values: Iterable[Number]) -> Number:
             merged.append(level[-1])
         level = merged
     return sum(level)  # 0 when there are no values, as sum() gives
+
+
+# bits that rational_fsum's integer bracket keeps beyond a double's 54
+# (53 and the rounding bit), on top of one per doubling of the term count;
+# the bracket straddles a rounding boundary about once in 2**32 sums that
+# are not exact at its scale, and those take the exact sum
+_FSUM_GUARD_BITS = 32
+
+
+def rational_fsum(values: Iterable[Rational]) -> float:
+    """float(exact_sum(values)) bit for bit, without building the sum.
+
+    For exact rationals a/b with sum S, the integers lo = sum of
+    floor(a 2**B / b) and hi = lo + (the number of terms with a remainder)
+    satisfy lo <= S 2**B <= hi. B puts the largest term about
+    54 + _FSUM_GUARD_BITS + log2(len) bits above the bracket's width, so
+    for positive terms the bracket is far narrower than half an ulp of S;
+    a term of k bits costs one division of k + B bits, where the exact sum
+    pays gcds on a common denominator that grows with every term.
+    Rounding to nearest is monotone and CPython's int / int is correctly
+    rounded, so when lo / 2**B and hi / 2**B give the same double, that
+    double is float(S). Otherwise (S lies near a midpoint between doubles,
+    or terms of both signs cancel) the exact sum decides. Beyond the float
+    range this raises OverflowError, as float(Fraction) does.
+    """
+    vals = list(values)
+    if not vals:
+        return 0.0
+    pairs = [(int(v.numerator), int(v.denominator)) for v in vals]
+    top = max(a.bit_length() - b.bit_length() for a, b in pairs)  # log2 of the largest, +-1
+    scale = 54 + _FSUM_GUARD_BITS + len(pairs).bit_length() - top  # B
+    up, down = max(scale, 0), max(-scale, 0)
+    lo = inexact = 0
+    for a, b in pairs:
+        q, r = divmod(a << up, b << down)
+        lo += q
+        inexact += r != 0
+    try:
+        lo_f, hi_f = ((n << down) / (1 << up) for n in (lo, lo + inexact))
+        if lo_f == hi_f:
+            return lo_f
+    except OverflowError:  # an end beyond the float range; S may be just inside
+        pass
+    return float(exact_sum(vals))
 
 
 def integer_masses(values: Iterable[Rational]) -> Tuple[List[int], int]:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab import checks
+from hardylab import checks, hardy, scalars
 from hardylab.checks import (equal_sum_rearrangement, jcin_sweep,
                              lsc_example_table, mu1_sweep, verify_cut,
                              verify_decreasing, verify_jcin)
-from hardylab.families import make_generator, power, quasiarithmetic
-from hardylab.hardy import HypothesisViolation, InconclusiveError
-from hardylab.kernel import MeanFlags, StepFunction, evaluate, step_profile
+from hardylab.families import builtin_generator, make_generator, power, quasiarithmetic
+from hardylab.hardy import HypothesisViolation, InconclusiveError, _term_ratios, arithmetic_hardy
+from hardylab.kernel import MeanFlags, MeanSpec, StepFunction, evaluate, step_profile
+from hardylab.scalars import exact_sum
 from hardylab.search import SearchResult
 from hardylab.weights import coarsen, make_sequence, random_rational_sequence
 
@@ -166,6 +168,34 @@ class TestJcin:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             jcin_sweep(power(1), trials=0)
+
+    @pytest.mark.parametrize("mean", [
+        power(Fraction(1, 2)), power(0), power(-1), power(Fraction(1, 3)),
+        quasiarithmetic(builtin_generator("log")),
+    ], ids=lambda m: m.name)
+    def test_integer_masses_give_the_reports_of_the_callers_weights(self, mean):
+        # the same mean under a family name verify_jcin does not know is
+        # evaluated on the caller's weights
+        opaque = dataclasses.replace(mean, family="opaque")
+        for i in range(40):
+            x, w = checks._random_instance(random.Random(f"jcin-masses:{i}"))
+            assert verify_jcin(mean, x, w).to_json() == verify_jcin(opaque, x, w).to_json()
+
+    def test_other_means_receive_the_callers_weights(self):
+        seen = []
+
+        def fn(xs, ws):
+            seen.append(ws)
+            return evaluate(power(1), xs, ws)
+
+        spec = MeanSpec(family="recording", params=None,
+                        flags=MeanFlags(monotone=True, concave=True), fn=fn)
+        x = [Fraction(5), Fraction(1), Fraction(3)]
+        w = [Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)]
+        rep = verify_jcin(spec, x, w)
+        assert seen == [tuple(w[:n]) for n in (1, 1, 2, 2, 3, 3)]
+        assert all(type(v) is Fraction for ws in seen for v in ws)
+        assert rep.witness["w"] == w
 
 
 class TestCut:
@@ -342,6 +372,30 @@ class TestLscTable:
         assert rep.converged
         assert rep.limit_value == pytest.approx(rep.baseline + 0.5)
         assert abs(rep.rows[-1][1] - rep.limit_value) <= 1e-3
+
+    @pytest.mark.parametrize("kmax,N", [(25, 200), (3, 11)])
+    def test_values_are_the_rounded_exact_partial_sums(self, kmax, N):
+        def exact(descriptor):
+            lam = make_sequence(descriptor)
+            value = float(exact_sum(_term_ratios(lam, N)))
+            assert value == arithmetic_hardy(lam, N).value
+            return value
+
+        rep = lsc_example_table(kmax, N)
+        assert rep.baseline == exact("dyadic")
+        assert rep.rows == tuple((k, exact(f"perturbed-dyadic:{k}"))
+                                 for k in range(1, kmax + 1))
+
+    def test_builds_no_exact_sum(self, monkeypatch):
+        # every bracket decides its rounding, so the exact sum, the
+        # fallback of rational_fsum, is never built
+        def refuse(values):
+            raise AssertionError("exact sum built")
+
+        monkeypatch.setattr(scalars, "exact_sum", refuse)
+        monkeypatch.setattr(hardy, "exact_sum", refuse)
+        rep = lsc_example_table(25, 200)
+        assert rep.dip_positions == (1,)
 
     def test_truncation_margin_enforced(self):
         with pytest.raises(ValueError, match="margin"):

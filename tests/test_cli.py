@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -259,6 +260,14 @@ class TestVerifySubcommands:
         rep = json.loads(out)["report"]
         assert rep["converged"] is True
         assert rep["dip_positions"] == [1]
+
+    def test_lsc_example_json_bytes_are_pinned(self, capsys):
+        # the report as the exact Fraction partial sums gave it
+        code, out, _ = run(capsys, "verify", "lsc-example", "--kmax", "25",
+                           "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "9bc2e5b67400694269d5aa4dffaa3e1fe45d62f87c8467621f73e3085d45909b"
 
     def test_lsc_example_shallow_depth_fails(self, capsys):
         code, _, _ = run(capsys, "verify", "lsc-example", "--kmax", "5",

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylab.scalars import (_digits, exact_ratio, exact_sum, format_number,
-                              is_exact, json_ready, parse_number)
+                              is_exact, json_ready, parse_number, rational_fsum)
 
 
 class TestParseNumber:
@@ -121,6 +121,87 @@ class TestExactSum:
     def test_ratio_equals_fraction_division(self, a, b):
         got = exact_ratio(a, b)
         assert got == Fraction(a) / Fraction(b) and type(got) is Fraction
+
+
+def _tie_parts(d, a, b, c):
+    """Three positive parts of the midpoint between the double d and the
+    next one up: two rational parts that are inexact at any binary scale
+    unless a + b + c is a power of two, and a dyadic one."""
+    mid = Fraction(d) + Fraction(math.ulp(d)) / 2
+    total = a + b + c
+    return [mid * Fraction(a, total), mid * Fraction(b, total), mid * Fraction(c, total)]
+
+
+POSITIVE_RATIONALS = st.one_of(
+    st.integers(1, 10 ** 6),
+    st.integers(1, 10 ** 400),
+    st.fractions(min_value=Fraction(1, 10 ** 6), max_value=10 ** 6, max_denominator=10 ** 6),
+    # 400-digit numerators and denominators
+    st.builds(Fraction, st.integers(10 ** 399, 10 ** 400), st.integers(10 ** 399, 10 ** 400)),
+    # near 1e-300
+    st.builds(lambda a, b: Fraction(a, b * 10 ** 300),
+              st.integers(1, 10 ** 20), st.integers(1, 10 ** 20)),
+)
+
+
+def _outcome(f, values):
+    try:
+        return f(values)
+    except OverflowError:
+        return "OverflowError"
+
+
+class TestRationalFsum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(POSITIVE_RATIONALS, min_size=1, max_size=24),
+        st.builds(_tie_parts,
+                  st.floats(min_value=1e-300, max_value=1e300),
+                  st.integers(1, 2 ** 64), st.integers(1, 2 ** 64), st.integers(1, 2 ** 64)),
+    ))
+    def test_equals_the_rounded_exact_sum(self, values):
+        assert _outcome(rational_fsum, values) == \
+            _outcome(lambda v: float(exact_sum(v)), values)
+
+    def test_exact_float_tie_rounds_to_even(self):
+        # 1 + 2**-53 lies halfway between 1 and 1 + 2**-52
+        assert rational_fsum([1, Fraction(1, 2 ** 53)]) == 1.0
+        assert rational_fsum([Fraction(1, 3 * 2 ** 53), Fraction(2, 3 * 2 ** 53), 1]) == 1.0
+        assert rational_fsum([1 + Fraction(1, 2 ** 52), Fraction(1, 2 ** 53)]) == 1 + 2 ** -51
+
+    def test_straddle_above_the_midpoint(self):
+        # the floors sum to the midpoint 1 + 2**-53 exactly, which rounds
+        # to 1; the ceilings round to 1 + 2**-52, which is right
+        values = [1, Fraction(1, 2 ** 53), Fraction(1, 3 * 2 ** 400)]
+        assert rational_fsum(values) == 1 + 2 ** -52
+
+    def test_straddle_below_the_midpoint(self):
+        # floors round to 1 and ceilings to 1 + 2**-52; the sum is just
+        # below the midpoint, so 1 is right
+        values = [1, Fraction(1, 2 ** 54) + Fraction(1, 3 * 2 ** 400),
+                  Fraction(1, 2 ** 54) - Fraction(2, 3 * 2 ** 400)]
+        assert rational_fsum(values) == 1.0
+
+    def test_single_values_and_empty(self):
+        assert rational_fsum([]) == 0.0
+        for v in (7, Fraction(1, 3), Fraction(10 ** 400 + 1, 3 * 10 ** 399),
+                  Fraction(1, 10 ** 320), Fraction(1, 10 ** 400)):
+            assert rational_fsum([v]) == float(v)
+
+    def test_sum_beyond_the_float_range_overflows(self):
+        with pytest.raises(OverflowError):
+            rational_fsum([Fraction(2 ** 1023), Fraction(2 ** 1023)])
+        with pytest.raises(OverflowError):
+            rational_fsum([10 ** 400])
+
+    def test_sum_just_inside_the_float_range(self):
+        # the upper end of the bracket overflows, the sum rounds to the
+        # largest double
+        values = [2 ** 1024 - 2 ** 970 - 1, Fraction(1, 3)]
+        assert rational_fsum(values) == sys.float_info.max
+
+    def test_accepts_a_generator(self):
+        assert rational_fsum(Fraction(1, n) for n in range(1, 5)) == 25 / 12
 
 
 class TestIsExact:
