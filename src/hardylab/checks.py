@@ -106,11 +106,6 @@ def equal_sum_rearrangement(x: Sequence[Number], w) -> RearrangementResult:
     weighted sum is preserved exactly; the output is nonincreasing even
     when x was not.
     """
-    return RearrangementResult(y=_pour(x, w)[0])
-
-
-def _pour(x: Sequence[Number], w) -> Tuple[Tuple[Fraction, ...], List[int]]:
-    """equal_sum_rearrangement's y, and the integer masses of the weights."""
     ws = tuple(w)
     _check_weights(ws)
     if not all_exact(ws):
@@ -135,7 +130,7 @@ def _pour(x: Sequence[Number], w) -> Tuple[Tuple[Fraction, ...], List[int]]:
         left -= need
         y.append(Fraction(acc, dx * m))
     assert sum(a * b for a, b in zip(y, masses)) == sum(a * b for a, b in zip(xs, masses))
-    return tuple(y), masses
+    return RearrangementResult(y=tuple(y))
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +156,15 @@ def verify_jcin(mean: MeanSpec, x: Sequence[Number], w,
     claim those flags this runs as a counterexample probe on the single
     instance. margin is the minimum over prefixes of (rearranged mean -
     original mean). Power and quasi-arithmetic means are evaluated on the
-    integer masses of the whole weight vector, found once by the
-    rearrangement, instead of normalizing every prefix's weights anew; any
-    other mean receives the caller's weights.
+    integer masses of the whole weight vector, found once, instead of
+    normalizing every prefix's weights anew; any other mean receives the
+    caller's weights.
     """
     ws = list(w)
-    y, masses = _pour(x, ws)
-    mean_w = masses if mean.family in _NORMALIZING_FAMILIES else ws
+    res = equal_sum_rearrangement(x, ws)
+    mean_w = integer_masses(ws)[0] if mean.family in _NORMALIZING_FAMILIES else ws
     xs = [float(v) for v in x]
-    ys = [float(v) for v in y]
+    ys = list(res.y_floats())
     margin = math.inf
     worst_n = 0
     lhs_w = rhs_w = 0.0
@@ -186,7 +181,7 @@ def verify_jcin(mean: MeanSpec, x: Sequence[Number], w,
     return CheckReport(
         check="jcin", passed=ok, outcome=outcome, instances=1, margin=margin,
         witness={
-            "x": list(x), "w": ws, "y": y,
+            "x": list(x), "w": ws, "y": res.y,
             "prefix": worst_n, "original_mean": lhs_w, "rearranged_mean": rhs_w,
         },
         details={"mean": mean.name, "hypotheses_claimed": _claims_hypotheses(mean)})
