@@ -124,9 +124,10 @@ class TestExactSum:
 
 
 def _tie_parts(d, a, b, c):
-    """Three positive parts of the midpoint between the double d and the
-    next one up: two rational parts that are inexact at any binary scale
-    unless a + b + c is a power of two, and a dyadic one."""
+    """The midpoint between the double d and the next one up, split into
+    three positive parts in the ratio a : b : c; unless a + b + c is a
+    power of two the parts are not dyadic, and the bracket straddles the
+    midpoint."""
     mid = Fraction(d) + Fraction(math.ulp(d)) / 2
     total = a + b + c
     return [mid * Fraction(a, total), mid * Fraction(b, total), mid * Fraction(c, total)]
