@@ -9,13 +9,12 @@ from .families import (GeneratorHandle, builtin_generator, make_generator,
                        quasiarithmetic_mean)
 from .weights import (RatioReport, WeightSeq, as_float, coarsen,
                       is_coarsening_of, make_sequence, random_rational_sequence,
-                      ratio_diagnostics)
+                      ratio_diagnostics, term_ratios)
 from .search import (OptimizerConfig, SearchResult, hardy_ratio, maximize_hardy_ratio,
                      prefix_means)
 from .hardy import (HardyEstimate, HypothesisViolation, InconclusiveError,
                     arithmetic_hardy, copson_constant, finite_lower_bound,
-                    geometric_probe, kedlaya_estimate, kedlaya_sequence,
-                    unweighted_limit)
+                    kedlaya_estimate, kedlaya_sequence, unweighted_limit)
 from .checks import (CheckReport, ExpansionBudgetError, LscReport,
                      RearrangementResult, equal_sum_rearrangement, jcin_sweep,
                      lsc_example_table, mu1_sweep, verify_cut,
@@ -32,12 +31,12 @@ __all__ = [
     "power", "power_mean", "quasiarithmetic", "quasiarithmetic_mean",
     "RatioReport", "WeightSeq", "as_float", "coarsen", "is_coarsening_of",
     "make_sequence", "random_rational_sequence", "ratio_diagnostics",
+    "term_ratios",
     "OptimizerConfig", "SearchResult", "hardy_ratio", "maximize_hardy_ratio",
     "prefix_means",
     "HardyEstimate", "HypothesisViolation", "InconclusiveError",
     "arithmetic_hardy", "copson_constant", "finite_lower_bound",
-    "geometric_probe", "kedlaya_estimate", "kedlaya_sequence",
-    "unweighted_limit",
+    "kedlaya_estimate", "kedlaya_sequence", "unweighted_limit",
     "CheckReport", "ExpansionBudgetError", "LscReport", "RearrangementResult",
     "equal_sum_rearrangement", "jcin_sweep", "lsc_example_table", "mu1_sweep",
     "verify_cut", "verify_decreasing", "verify_jcin",

@@ -28,7 +28,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .scalars import Number, all_exact, integer_masses, json_ready, rational_fsum
 from .kernel import MeanSpec, StepFunction, _check_weights, evaluate, interval_mean
 from .families import parse_mean, power_order
-from .weights import WeightSeq, _match_partial_sums, make_sequence, random_rational_sequence
+from .weights import (WeightSeq, _match_partial_sums, make_sequence, random_rational_sequence,
+                      term_ratios)
 from .search import maximize_hardy_ratio
 from . import hardy as _hardy
 
@@ -258,8 +259,8 @@ def verify_cut(mean: Union[str, MeanSpec], psi: WeightSeq, lam: WeightSeq,
         raise _hardy.InconclusiveError(f"{mean.name} has no section certificate")
     if p == 1:
         mode = "arithmetic-exact"
-        coarse = list(accumulate(_hardy._term_ratios(psi, N)))
-        fine = list(accumulate(_hardy._term_ratios(lam, ns[-1])))
+        coarse = list(accumulate(term_ratios(psi, N)))
+        fine = list(accumulate(term_ratios(lam, ns[-1])))
         rows = [{"coarse_sum": c, "fine_sum": fine[n - 1]} for c, n in zip(coarse, ns)]
         lo = hi = [r["fine_sum"] - r["coarse_sum"] for r in rows]
     else:
@@ -397,7 +398,7 @@ def lsc_example_table(kmax: int, N: int = 200) -> LscReport:
         raise ValueError("N must exceed kmax by a safe truncation margin")
 
     def constant(descriptor: str) -> float:
-        return rational_fsum(_hardy._term_ratios(make_sequence(descriptor), N))
+        return rational_fsum(term_ratios(make_sequence(descriptor), N))
 
     base = constant("dyadic")
     rows = tuple((k, constant(f"perturbed-dyadic:{k}")) for k in range(1, kmax + 1))

@@ -16,9 +16,8 @@ unexpected fault of the program (one line, no traceback).
 Output is deterministic for a fixed argv and seed: JSON has sorted keys,
 a "schema" tag and no timestamps; rational values print as "p/q". Number
 literals on the command line parse exactly unless --float is given;
---tol and --window are floats either way (a tolerance finite and >= 0),
-and --N, --trials and --starts (estimate and explore continuity only)
-whole numbers >= 1.
+--tol is a float either way (finite and >= 0), and --N, --trials and
+--starts (estimate and explore continuity only) whole numbers >= 1.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .scalars import Number, format_number, is_exact, json_ready, parse_float, parse_number
@@ -38,8 +37,8 @@ from .families import parse_mean, power_order
 from .weights import WeightSeq, as_float, coarsen, make_sequence
 from .search import OptimizerConfig
 from .hardy import (HypothesisViolation, InconclusiveError, arithmetic_hardy,
-                    copson_constant, finite_lower_bound, geometric_probe,
-                    kedlaya_estimate, unweighted_limit)
+                    copson_constant, finite_lower_bound, kedlaya_estimate,
+                    unweighted_limit)
 from .checks import (jcin_sweep, lsc_example_table, mu1_sweep, verify_cut,
                      verify_decreasing, verify_jcin)
 
@@ -107,7 +106,7 @@ def _count(text: str) -> int:
 
 
 def _real(text: str) -> float:
-    """argparse type of --window: one float literal."""
+    """One float literal."""
     return float(_number(text, True))
 
 
@@ -212,11 +211,9 @@ def _cmd_estimate(args) -> Rendered:
     if args.method == "finite":
         mean = parse_mean(args.mean)
         est = finite_lower_bound(mean, lam, args.N, cfg)
-    elif args.method == "geometric-probe":
-        est = geometric_probe(lam, _parse_one(args.q, args.float, "--q"), args.N)
     elif args.method == "kedlaya":
         mean = parse_mean(args.mean)
-        est = kedlaya_estimate(mean, lam, args.N, window=args.window)
+        est = kedlaya_estimate(mean, lam, args.N)
     else:  # nonweighted-limit
         mean = parse_mean(args.mean)
         est = unweighted_limit(mean, args.N)
@@ -398,20 +395,17 @@ def build_parser() -> argparse.ArgumentParser:
         "estimate",
         help="constant estimation routes",
         description="Estimates of the best constant: finite-section search "
-                    "(lower bound), the geometric probe vector (lower bound, "
-                    "arithmetic mean), the diverging-weights substitution "
-                    "route, and the unweighted limit n*M(1,1/2,...,1/n).")
+                    "(lower bound), the diverging-weights substitution "
+                    "route, and the unweighted limit n*M(1,1/2,...,1/n). "
+                    "For the arithmetic mean, 'hardy constant --arithmetic' "
+                    "gives the exact partial sum.")
     e.add_argument("--mean", default="power:1", help="mean descriptor")
     e.add_argument("--weights", default="ones", help="weight descriptor")
     e.add_argument("--method", required=True,
-                   choices=("finite", "geometric-probe", "kedlaya",
-                            "nonweighted-limit"))
+                   choices=("finite", "kedlaya", "nonweighted-limit"))
     e.add_argument("--N", type=_count, default=256)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--starts", type=_count, default=8, help=STARTS_HELP)
-    e.add_argument("--q", default="1/2", help="probe ratio in (0,1)")
-    e.add_argument("--window", type=_real, default=0.5,
-                   help="trailing window fraction for steady-state estimates")
     _add_common(e, fmt_default="json")
     e.set_defaults(handler=_cmd_estimate)
 

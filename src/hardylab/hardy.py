@@ -6,7 +6,6 @@ sum_n w_n M(x_1..x_n, w_1..w_n) <= C sum_n w_n x_n:
 - exact partial sums (arithmetic mean only), optionally certified with a
   tail bound into a two-sided interval,
 - finite-section search (any mean), a lower bound by construction,
-- a closed-form geometric probe vector (arithmetic mean only),
 - the substitution x_n = y/W_n whose trailing terms approach the
   constant from below when weight sums diverge and term ratios are
   nonincreasing,
@@ -22,17 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import accumulate
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .scalars import Number, exact_ratio, exact_sum, format_number, is_exact, json_ready
+from .scalars import Number, exact_sum, json_ready
 from .kernel import MeanDomainError, MeanSpec
 from .families import power_order
 from .search import OptimizerConfig, maximize_hardy_ratio, prefix_means
-from .weights import WeightSeq, ratio_diagnostics
+from .weights import WeightSeq, ratio_diagnostics, term_ratios
 
 # trailing-window fraction for steady-state estimates and the a(N)-a(N/2)
 # drift past which a route is flagged as trending upward instead of
@@ -122,11 +119,6 @@ def copson_constant(p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _term_ratios(lam: WeightSeq, N: int) -> List[Fraction]:
-    """w_n / W_n for n = 1..N, exactly."""
-    return [exact_ratio(lam.term(n), lam.partial_sum(n)) for n in range(1, N + 1)]
-
-
 def arithmetic_hardy(lam: WeightSeq, N: int, *, certified: bool = False) -> HardyEstimate:
     """Partial sum of w_n / W_n, the arithmetic-mean constant truncated at N.
 
@@ -138,7 +130,7 @@ def arithmetic_hardy(lam: WeightSeq, N: int, *, certified: bool = False) -> Hard
     if N < 1:
         raise ValueError("need N >= 1")
     if lam.exact:
-        partial: Number = exact_sum(_term_ratios(lam, N))
+        partial: Number = exact_sum(term_ratios(lam, N))
     else:
         terms = lam.terms_floats(N)
         partial = float(np.sum(terms / np.cumsum(terms)))
@@ -156,41 +148,6 @@ def arithmetic_hardy(lam: WeightSeq, N: int, *, certified: bool = False) -> Hard
         kind="certified-interval" if certified else "partial-sum",
         mean="power:1", weights=lam.descriptor, N=N,
         value=float(partial), lower=partial, upper=upper, diagnostics=diag)
-
-
-def geometric_probe(lam: WeightSeq, q: Number, N: int) -> HardyEstimate:
-    """Hardy ratio of the probe vector x_n = q^n / w_n (arithmetic mean).
-
-    For 0 < q < 1 the ratio is a valid lower bound and exceeds
-    (1-q) * sum_{n<=N} w_n/W_n; both sides are computed exactly for exact
-    sequences and reported together.
-    """
-    if not (0 < q < 1):
-        raise HypothesisViolation("probe ratio q must lie in (0, 1)")
-    if N < 1:
-        raise ValueError("need N >= 1")
-    exact = lam.exact and is_exact(q)
-    if exact:
-        qv: Number = Fraction(q)
-        runs = list(accumulate(qv ** n for n in range(1, N + 1)))  # sum_{k<=n} q^k
-        ratios = _term_ratios(lam, N)
-        ratio: Number = exact_sum(r * run for r, run in zip(ratios, runs)) / runs[-1]
-        reference = (1 - qv) * exact_sum(ratios)
-    else:
-        qf = float(q)
-        w = lam.terms_floats(N)
-        W = np.cumsum(w)
-        pw = np.cumsum(qf ** np.arange(1, N + 1))
-        ratio = float(np.sum(w * pw / W) / pw[-1])
-        reference = (1 - qf) * float(np.sum(w / W))
-    return HardyEstimate(
-        kind="geometric-probe", mean="power:1", weights=lam.descriptor, N=N,
-        value=float(ratio), lower=ratio,
-        diagnostics={
-            "q": format_number(q),
-            "reference_lower": float(reference),
-            "number_mode": "exact_rational" if exact else "float",
-        })
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +181,9 @@ def finite_lower_bound(mean: MeanSpec, lam: WeightSeq, N: int,
 # ---------------------------------------------------------------------------
 
 
-def _steady_stats(values: np.ndarray, window: float) -> Tuple[float, bool, float]:
+def _steady_stats(values: np.ndarray) -> Tuple[float, bool, float]:
     n = len(values)
-    start = max(1, int(math.ceil(window * n))) - 1
+    start = max(1, int(math.ceil(STEADY_WINDOW * n))) - 1
     steady = float(np.min(values[start:]))
     drift = float(values[-1] - values[n // 2 - 1]) if n >= 2 else 0.0
     return steady, drift > DIVERGENCE_DRIFT, drift
@@ -245,18 +202,17 @@ def kedlaya_sequence(mean: MeanSpec, lam: WeightSeq, y: float, N: int) -> np.nda
     return _substitution_terms(mean, w, np.cumsum(w), y)
 
 
-def kedlaya_estimate(mean: MeanSpec, lam: WeightSeq, N: int, *,
-                     window: float = STEADY_WINDOW) -> HardyEstimate:
+def kedlaya_estimate(mean: MeanSpec, lam: WeightSeq, N: int) -> HardyEstimate:
     """Steady-state estimate from the substitution x_n = y/W_n.
 
     Requires divergent weight sums and nonincreasing term/partial-sum
     ratios (HypothesisViolation otherwise; unknown divergence also
     refuses, since the route's conclusion rests on it). For each y the
-    steady value is the minimum of a_n over the trailing window, a
-    fraction in (0, 1] of the sequence; the headline is the best y. A
-    power mean (families.power_order is not None) is 1-homogeneous by its
-    formula, so y cancels and only y = 1 is evaluated: per_y holds that
-    one row, grid_spread is 0 and grid_collapsed is true. Every other mean
+    steady value is the minimum of a_n over the trailing STEADY_WINDOW
+    fraction of the sequence; the headline is the best y. A power mean
+    (families.power_order is not None) is 1-homogeneous by its formula,
+    so y cancels and only y = 1 is evaluated: per_y holds that one row,
+    grid_spread is 0 and grid_collapsed is true. Every other mean
     runs the whole DEFAULT_Y_GRID, whatever its flags claim, and reports
     the observed spread. A row whose terms are not all finite (the mean
     overflowed) is marked {"y": y, "finite": false} in per_y and left out
@@ -264,8 +220,6 @@ def kedlaya_estimate(mean: MeanSpec, lam: WeightSeq, N: int, *,
     """
     if N < 4:
         raise ValueError("need N >= 4")
-    if not 0 < window <= 1:
-        raise ValueError(f"window must lie in (0, 1], got {window!r}")
     if lam.sum_diverges is not True:
         state = "converges" if lam.sum_diverges is False else "is not certified to diverge"
         raise HypothesisViolation(
@@ -285,7 +239,7 @@ def kedlaya_estimate(mean: MeanSpec, lam: WeightSeq, N: int, *,
         if not np.all(np.isfinite(a)):
             per_y.append({"y": y, "finite": False})
             continue
-        steady, trend, drift = _steady_stats(a, window)
+        steady, trend, drift = _steady_stats(a)
         row = {"y": y, "steady": steady, "divergent_trend": trend, "drift": drift}
         per_y.append(row)
         if best is None or steady > best[0]:
@@ -298,7 +252,7 @@ def kedlaya_estimate(mean: MeanSpec, lam: WeightSeq, N: int, *,
         kind="substitution", mean=mean.name, weights=lam.descriptor, N=N,
         value=steady, lower=None,
         diagnostics={
-            "window": window,
+            "window": STEADY_WINDOW,
             "y_best": row["y"],
             "grid_spread": spread,
             "grid_collapsed": spread <= 1e-9 * max(1.0, abs(steady)),
@@ -319,7 +273,7 @@ def unweighted_limit(mean: MeanSpec, N: int) -> HardyEstimate:
         raise ValueError("need N >= 4")
     n = np.arange(1.0, N + 1.0)
     a = n * prefix_means(mean, 1.0 / n, np.ones(N))
-    steady, trend, drift = _steady_stats(a, STEADY_WINDOW)
+    steady, trend, drift = _steady_stats(a)
     return HardyEstimate(
         kind="unweighted-limit", mean=mean.name, weights="ones", N=N,
         value=float(a[-1]),

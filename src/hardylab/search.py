@@ -34,8 +34,9 @@ p >= 1 and concave for p <= 1, and families.order_regime picks the route:
   generator's running transform, and quadratic direct prefix evaluation
   for an opaque mean, only sensible for small N. The ascent finds local
   maxima only: on a convex user generator (x^2, x^3) it can stop at a
-  point that is not a vertex, well below the vertex route's value for
-  the same power mean.
+  point that is not a vertex, so the N floored vertices e_k, built as the
+  vertex route builds its own, are evaluated as well (one batched
+  evaluation) and the best of them is one more candidate.
 
 The two power routes report upper_section, a certified upper bound on the
 supremum of this N-section (not on the constant of the infinite sequence).
@@ -573,6 +574,18 @@ def _solve_power(mean: MeanSpec, p: float, regime: str, w: np.ndarray,
     return "fixed-point", run, upper
 
 
+def _best_vertex(mean: MeanSpec, w: np.ndarray) -> _Run:
+    """The best of the N floored vertices, each built as _vertices builds
+    its own, evaluated in one batch as an ascent candidate with 0 updates.
+    It reports converged false: no ascent stopped there."""
+    eng = _PrefixEngine(mean, w)
+    x = np.full((len(w), len(w)), _FLOOR)
+    np.fill_diagonal(x, max(eng.W[-1], 1.0) / w)
+    eng.rebuild(x)
+    k = int(np.argmax(eng.value))
+    return float(eng.value[k]), eng.x[k].copy(), False, 0, 0
+
+
 def _structured_starts(w: np.ndarray, n_starts: int, seed: int) -> list:
     W = np.cumsum(w)
     starts = [
@@ -602,7 +615,8 @@ def maximize_hardy_ratio(mean: MeanSpec, w: Sequence[float],
     start_values holds one entry, and its value is no worse than the ratio
     at 1/W_n. Every other mean runs multistart coordinate ascent (user
     generators and opaque means): every start is run and keeps its best
-    point, so no start's value is lost.
+    point, so no start's value is lost, and the best floored vertex
+    (_best_vertex) competes with them.
 
     Deterministic for a fixed config: the ascent's starts are seeded by
     index, and its results are reduced by best value with
@@ -622,14 +636,15 @@ def maximize_hardy_ratio(mean: MeanSpec, w: Sequence[float],
     regime = None if p is None else order_regime(p)
     if regime is not None:
         solver, run, upper = _solve_power(mean, p, regime, w_arr, np.cumsum(w_arr))
-        runs = [run]
+        runs = candidates = [run]
     else:
         upper = None
         starts = _structured_starts(w_arr, config.starts, config.seed)
         solver, runs = "ascent", _ascend(mean, w_arr, starts)
+        candidates = runs + [_best_vertex(mean, w_arr)]
 
     value, witness, converged, _, _ = max(
-        runs, key=lambda r: (r[0], tuple(-c for c in r[1])))
+        candidates, key=lambda r: (r[0], tuple(-c for c in r[1])))
     if math.isfinite(value) and regime != "min":
         value = hardy_ratio(mean, witness, w_arr)
     if upper is not None:

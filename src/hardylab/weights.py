@@ -315,6 +315,11 @@ class RatioReport:
         return out
 
 
+def term_ratios(w: WeightSeq, N: int) -> List[Fraction]:
+    """w_n / W_n for n = 1..N of an exact sequence, exactly."""
+    return [exact_ratio(w.term(n), w.partial_sum(n)) for n in range(1, N + 1)]
+
+
 def ratio_diagnostics(w: WeightSeq, N: int, *,
                       floats: Optional[np.ndarray] = None) -> RatioReport:
     """Ratios term(n)/partial_sum(n) for n <= N, their monotonicity, the
@@ -330,13 +335,11 @@ def ratio_diagnostics(w: WeightSeq, N: int, *,
     if N < 1:
         raise ValueError("need N >= 1")
     if w.exact and N <= EXACT_RATIO_LIMIT:
-        terms = [w.term(n) for n in range(1, N + 1)]
-        psums = [w.partial_sum(n) for n in range(1, N + 1)]
-        exact_ratios = [exact_ratio(t, s) for t, s in zip(terms, psums)]
+        exact_ratios = term_ratios(w, N)
         noninc = all(a >= b for a, b in zip(exact_ratios, exact_ratios[1:]))
         ratios = tuple(float(r) for r in exact_ratios)
-        max_ratio = float(exact_ratio(max(terms), psums[-1]))
-        psum_n = psums[-1]
+        psum_n = w.partial_sum(N)
+        max_ratio = float(exact_ratio(max(w.term(n) for n in range(1, N + 1)), psum_n))
     else:
         arr = w.terms_floats(N) if floats is None else floats
         sums = np.cumsum(arr)

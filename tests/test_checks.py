@@ -13,11 +13,11 @@ from hardylab.checks import (equal_sum_rearrangement, jcin_sweep,
                              lsc_example_table, mu1_sweep, verify_cut,
                              verify_decreasing, verify_jcin)
 from hardylab.families import builtin_generator, make_generator, power, quasiarithmetic
-from hardylab.hardy import HypothesisViolation, InconclusiveError, _term_ratios, arithmetic_hardy
+from hardylab.hardy import HypothesisViolation, InconclusiveError, arithmetic_hardy
 from hardylab.kernel import MeanFlags, MeanSpec, StepFunction, evaluate, step_profile
 from hardylab.scalars import exact_sum
 from hardylab.search import SearchResult
-from hardylab.weights import coarsen, make_sequence, random_rational_sequence
+from hardylab.weights import coarsen, make_sequence, random_rational_sequence, term_ratios
 
 fractions_pos = st.fractions(min_value=Fraction(1, 20), max_value=100,
                              max_denominator=20)
@@ -377,7 +377,7 @@ class TestLscTable:
     def test_values_are_the_rounded_exact_partial_sums(self, kmax, N):
         def exact(descriptor):
             lam = make_sequence(descriptor)
-            value = float(exact_sum(_term_ratios(lam, N)))
+            value = float(exact_sum(term_ratios(lam, N)))
             assert value == arithmetic_hardy(lam, N).value
             return value
 

@@ -65,8 +65,7 @@ COMMANDS = st.one_of(
          st.sampled_from([[], ["--certified"]])),
     _cmd(("estimate", "--method", "finite"), MEAN, WEIGHT, N,
          _opt("--starts", count), SEED),
-    _cmd(("estimate", "--method", "geometric-probe"), WEIGHT, _opt("--q", number), N),
-    _cmd(("estimate", "--method", "kedlaya"), MEAN, WEIGHT, N, _opt("--window", number)),
+    _cmd(("estimate", "--method", "kedlaya"), MEAN, WEIGHT, N),
     _cmd(("estimate", "--method", "nonweighted-limit"), MEAN, N),
     _cmd(("verify", "axioms"), MEAN, TRIALS, SEED, TOL),
     _cmd(("verify", "jcin"), MEAN,

@@ -9,12 +9,12 @@ from hardylab import hardy
 from hardylab.families import make_generator, power, quasiarithmetic
 from hardylab.hardy import (HypothesisViolation, InconclusiveError,
                             arithmetic_hardy, copson_constant,
-                            finite_lower_bound, geometric_probe,
-                            kedlaya_estimate, kedlaya_sequence,
-                            unweighted_limit)
+                            finite_lower_bound, kedlaya_estimate,
+                            kedlaya_sequence, unweighted_limit)
 from hardylab.kernel import MeanDomainError, MeanFlags, evaluate
 from hardylab.search import OptimizerConfig
-from hardylab.weights import WeightSeq, make_sequence, random_rational_sequence
+from hardylab.weights import (WeightSeq, make_sequence, random_rational_sequence,
+                             ratio_diagnostics, term_ratios)
 
 ERDOS_BORWEIN = 1.6066951524152917  # sum over n of 1 / (2^n - 1)
 
@@ -149,44 +149,16 @@ class TestExactSumsMatchSequentialOracle:
         assert arithmetic_hardy(lam, N).lower == sequential_sum(ratios)
 
     @pytest.mark.parametrize("N", [1, 2, 9, 60])
-    @pytest.mark.parametrize("q", [Fraction(1, 10), Fraction(2, 3)])
     @pytest.mark.parametrize("desc", sorted(ORACLE_TERMS) + ["random"])
-    def test_geometric_probe(self, desc, q, N):
+    def test_term_ratios_and_their_diagnostics(self, desc, N):
         lam = random_rational_sequence(4) if desc == "random" else make_sequence(desc)
-        ratios, _ = sequential_ratios(lam.term, N)
-        run, num = Fraction(0), Fraction(0)
-        for n in range(1, N + 1):
-            run += q ** n
-            num += lam.term(n) * run / sum(lam.term(k) for k in range(1, n + 1))
-        est = geometric_probe(lam, q, N)
-        assert est.lower == num / run and type(est.lower) is Fraction
-        assert est.diagnostics["reference_lower"] == float((1 - q) * sequential_sum(ratios))
-
-
-class TestGeometricProbe:
-    def test_exact_ratio_dominates_reference(self):
-        est = geometric_probe(make_sequence("dyadic"), Fraction(1, 10), 60)
-        assert est.value >= est.diagnostics["reference_lower"]
-        assert est.value == pytest.approx(1.5032119559900965, abs=1e-15)
-        assert est.direction == "lower_bound"
-        assert est.diagnostics["number_mode"] == "exact_rational"
-
-    def test_probe_matches_brute_force_evaluation(self):
-        lam = make_sequence("geometric:1/2")
-        q = 0.3
-        N = 20
-        w = lam.terms_floats(N)
-        x = q ** np.arange(1, N + 1) / w
-        num = sum(w[n] * evaluate(power(1), list(x[: n + 1]), list(w[: n + 1]))
-                  for n in range(N))
-        den = float(np.dot(w, x))
-        est = geometric_probe(lam, q, N)
-        assert est.value == pytest.approx(num / den, rel=1e-12)
-
-    @pytest.mark.parametrize("q", [0, 1, Fraction(5, 4), -0.5])
-    def test_ratio_outside_unit_interval_rejected(self, q):
-        with pytest.raises(HypothesisViolation):
-            geometric_probe(make_sequence("dyadic"), q, 10)
+        ratios, W = sequential_ratios(lam.term, N)
+        got = term_ratios(lam, N)
+        assert got == ratios and all(type(r) is Fraction for r in got)
+        rep = ratio_diagnostics(lam, N)
+        assert rep.ratios == tuple(float(r) for r in ratios)
+        assert rep.max_term_ratio == float(max(lam.term(n) for n in range(1, N + 1)) / W)
+        assert rep.partial_sum_at_N == W
 
 
 class TestFiniteSection:
@@ -325,7 +297,7 @@ class TestUnweightedLimit:
 class TestEstimateSerialization:
     def test_directions_roundtrip(self):
         interval = arithmetic_hardy(make_sequence("dyadic"), 10, certified=True)
-        lower = geometric_probe(make_sequence("dyadic"), Fraction(1, 2), 10)
+        lower = finite_lower_bound(power(0.5), make_sequence("dyadic"), 10)
         plain = unweighted_limit(power(0), 16)
         for est, want in ((interval, "interval"), (lower, "lower_bound"),
                           (plain, "estimate")):

@@ -19,6 +19,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # the modules perfbench/run.py imports (run.MODULES; importing run itself
 # would pin thread variables in this process)
 MODULES = ("scalars", "kernel", "families", "weights", "search", "hardy", "checks", "cli")
+# tracer keys of functions deleted from the package: the tracer looks keys up
+# by the functions it finds, so a stale key only never matches; the next
+# change to perfbench/ removes it, and then its entry here
+STALE_KEYS = {"hardy.geometric_probe"}
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +48,11 @@ def test_every_workload_builds_from_the_package(bench, tmp_path):
 def test_tracer_targets_exist_and_uninstall_restores_them(bench):
     T = bench.tracer
     layers = {name: getattr(bench.mods, name) for name in T.LAYERS}
-    for key in list(T.COUNTS) + list(T.TIMES):
+    keys = list(T.COUNTS) + list(T.TIMES)
+    assert STALE_KEYS <= set(keys)
+    for key in STALE_KEYS:
+        assert not hasattr(layers[key.split(".")[0]], key.split(".")[1]), key
+    for key in set(keys) - STALE_KEYS:
         owner = layers[key.split(".")[0]]
         for attr in key.split(".")[1:]:
             owner = getattr(owner, attr)

@@ -365,6 +365,35 @@ def test_ascent_reaches_the_certified_value_of_concave_orders(p):
         assert ascent.value == pytest.approx(certified.value, rel=1e-9)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0], ids=repr)
+def test_ascent_reaches_the_vertex_value_of_convex_orders(p):
+    # a convex order peaks at a vertex; the ascent on its user form alone
+    # stopped at local maxima up to 47 % (p = 2) and 60 % (p = 3) below it
+    rng = random.Random(f"convex-vertices:{p}")
+    for _ in range(8):
+        w = [rng.randint(1, 9) / rng.randint(1, 9) for _ in range(16)]
+        vertex = maximize_hardy_ratio(power(p), w)
+        assert vertex.solver == "vertex"
+        ascent = maximize_hardy_ratio(equivalent_user_mean(p), w,
+                                      OptimizerConfig(starts=4, seed=0))
+        assert ascent.solver == "ascent"
+        assert ascent.value >= vertex.value * (1 - 1e-12)
+
+
+def test_the_best_vertex_competes_with_the_starts_without_being_one():
+    # an opaque mean reaches the vertices through direct evaluation; the
+    # vertex leaves start_values and the update count to the starts
+    square = opaque_mean(
+        lambda x, lam: math.sqrt(sum(l * v * v for v, l in zip(x, lam)) / sum(lam)),
+        "opaque-square")
+    w = [3.0, 1 / 7, 5.0, 2 / 3, 1.0, 4.0]
+    res = maximize_hardy_ratio(square, w, OptimizerConfig(starts=2, seed=0))
+    assert len(res.start_values) == 2 and max(res.start_values) < res.value
+    assert res.value >= maximize_hardy_ratio(power(2), w).value * (1 - 1e-12)
+    assert not res.converged
+    assert sorted(res.witness)[:-1] == [_FLOOR] * (len(w) - 1)
+
+
 @settings(max_examples=50, deadline=None)
 @given(mean=st.sampled_from(PROPERTY_MEANS),
        w=st.lists(st.fractions(min_value=Fraction(1, 1000), max_value=1000,
