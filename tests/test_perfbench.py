@@ -20,8 +20,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # would pin thread variables in this process)
 MODULES = ("scalars", "kernel", "families", "weights", "search", "hardy", "checks", "cli")
 # tracer keys of functions deleted from the package: the tracer looks keys up
-# by the functions it finds, so a stale key only never matches; the next
-# change to perfbench/ removes it, and then its entry here
+# by the functions it finds, so a stale key matches nothing and does no harm;
+# the next change to perfbench/ removes it, and then its entry here
 STALE_KEYS = {"hardy.geometric_probe"}
 
 

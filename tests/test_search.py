@@ -382,7 +382,7 @@ def test_ascent_reaches_the_vertex_value_of_convex_orders(p):
 
 def test_the_best_vertex_competes_with_the_starts_without_being_one():
     # an opaque mean reaches the vertices through direct evaluation; the
-    # vertex leaves start_values and the update count to the starts
+    # winning vertex is not counted among the start_values
     square = opaque_mean(
         lambda x, lam: math.sqrt(sum(l * v * v for v, l in zip(x, lam)) / sum(lam)),
         "opaque-square")
