@@ -160,6 +160,35 @@ class TestExactSumsMatchSequentialOracle:
         assert rep.max_term_ratio == float(max(lam.term(n) for n in range(1, N + 1)) / W)
         assert rep.partial_sum_at_N == W
 
+    @pytest.mark.parametrize("N", [1, 2, 9, 60])
+    @pytest.mark.parametrize("q", [Fraction(1, 10), Fraction(2, 3)])
+    @pytest.mark.parametrize("desc", sorted(ORACLE_TERMS) + ["random"])
+    def test_partial_sum_dominates_geometric_vectors(self, desc, q, N):
+        # At p = 1 the ratio of x is a weighted mean of the tails
+        # T_k = sum_{k<=n<=N} w_n / W_n with weights w_k x_k, so no vector of
+        # the section beats T_1, the partial sum; x_n = q^n / w_n is one such.
+        lam = random_rational_sequence(4) if desc == "random" else make_sequence(desc)
+        ratios, _ = sequential_ratios(lam.term, N)
+        mass, run, num = Fraction(0), Fraction(0), Fraction(0)
+        for n in range(1, N + 1):
+            mass += q ** n
+            run += lam.term(n)
+            num += lam.term(n) * mass / run
+        probe = num / mass
+        tails = [sequential_sum(ratios[k:]) for k in range(N)]
+        assert probe == sum(q ** (k + 1) * t for k, t in enumerate(tails)) / mass
+        best = arithmetic_hardy(lam, N).lower
+        assert best == tails[0]
+        assert probe == best if N == 1 else probe < best
+
+    def test_dyadic_probe_falls_short_of_the_partial_sum(self):
+        lam, q, N = make_sequence("dyadic"), Fraction(1, 10), 60
+        mass = sum(q ** n for n in range(1, N + 1))
+        num = sum(lam.term(n) * sum(q ** k for k in range(1, n + 1))
+                  / sum(lam.term(k) for k in range(1, n + 1)) for n in range(1, N + 1))
+        assert float(num / mass) == pytest.approx(1.5032119559900965, abs=1e-15)
+        assert arithmetic_hardy(lam, N).value == pytest.approx(1.60670, abs=1e-5)
+
 
 class TestFiniteSection:
     def test_bounds_increase_with_section_size(self):
