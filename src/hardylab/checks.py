@@ -25,11 +25,11 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .scalars import Number, all_exact, integer_masses, json_ready, rational_fsum
+from .scalars import Number, all_exact, integer_masses, json_ready, ratio_fsum
 from .kernel import MeanSpec, StepFunction, _check_weights, evaluate, interval_mean
 from .families import parse_mean, power_order
 from .weights import (WeightSeq, _match_partial_sums, make_sequence, random_rational_sequence,
-                      term_ratios)
+                      term_ratio_pairs, term_ratios)
 from .search import maximize_hardy_ratio
 from . import hardy as _hardy
 
@@ -241,9 +241,16 @@ def verify_cut(mean: Union[str, MeanSpec], psi: WeightSeq, lam: WeightSeq,
     m)], or 0 for identical prefixes: pass if every lower end is >= 0, fail
     if an upper end is < 0 (margin: the least end that decides), else
     inconclusive, as for means with no order: two lower bounds decide nothing.
+    Float-mode weights (non-integer power:ALPHA, as_float views) are refused
+    with HypothesisViolation.
     """
     if N < 1:
         raise ValueError("need N >= 1")
+    for seq in (lam, psi):
+        if not seq.exact:
+            raise _hardy.HypothesisViolation(
+                f"{seq.descriptor}: float-mode weights; the coarsening comparison "
+                "matches partial sums exactly and needs exact-rational weights")
     mean = parse_mean(mean) if isinstance(mean, str) else mean
     if not (mean.flags.monotone and mean.flags.concave and mean.flags.continuous_in_weights):
         raise _hardy.HypothesisViolation(
@@ -388,9 +395,9 @@ def lsc_example_table(kmax: int, N: int = 200) -> LscReport:
 
     The baseline and every row are the correctly rounded floats of the
     exact partial sums of w_n/W_n, the values arithmetic_hardy reports.
-    They are computed by scalars.rational_fsum from the exact term ratios,
-    which brackets each sum between two integers instead of building it
-    as a Fraction.
+    They are computed by scalars.ratio_fsum from the integer pairs
+    (m_n, M_n) of weights.term_ratio_pairs, which brackets each sum
+    between two integers: no Fraction is built and no gcd taken.
     """
     if kmax < 1:
         raise ValueError("need kmax >= 1")
@@ -398,7 +405,7 @@ def lsc_example_table(kmax: int, N: int = 200) -> LscReport:
         raise ValueError("N must exceed kmax by a safe truncation margin")
 
     def constant(descriptor: str) -> float:
-        return rational_fsum(term_ratios(make_sequence(descriptor), N))
+        return ratio_fsum(term_ratio_pairs(make_sequence(descriptor), N))
 
     base = constant("dyadic")
     rows = tuple((k, constant(f"perturbed-dyadic:{k}")) for k in range(1, kmax + 1))

@@ -15,15 +15,19 @@ unexpected fault of the program (one line, no traceback).
 
 Output is deterministic for a fixed argv and seed: JSON has sorted keys,
 a "schema" tag and no timestamps; rational values print as "p/q". Number
-literals on the command line parse exactly unless --float is given;
---tol is a float either way (finite and >= 0), and --N, --trials and
---starts (estimate and explore continuity only) whole numbers >= 1.
+literals on the command line parse exactly unless --float is given, an
+option of the subcommands that read them only (not verify axioms, cut or
+lsc-example); --tol is a float either way (finite and >= 0), and --N,
+--trials and --starts (estimate and explore continuity only) whole
+numbers >= 1. The parser is built on the first main call of a process
+and reused; handlers are looked up by name at dispatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -359,12 +363,17 @@ def _cmd_explore_continuity(args) -> Rendered:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, *, fmt_default: str = "text") -> None:
+def _add_common(p, handler: str, *, fmt_default: str = "text",
+                reads_floats: bool = False) -> None:
+    """Output options, --float where the subcommand reads number literals,
+    and the handler's name, which main looks up when it dispatches."""
     p.add_argument("--format", choices=("json", "csv", "text"),
                    default=fmt_default, help="output format")
     p.add_argument("--output", help="write the report to this path instead of stdout")
-    p.add_argument("--float", action="store_true",
-                   help="parse numeric literals as floats instead of exact rationals")
+    if reads_floats:
+        p.add_argument("--float", action="store_true",
+                       help="parse numeric literals as floats instead of exact rationals")
+    p.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--N", type=_count, default=200, help="truncation length")
     c.add_argument("--certified", action="store_true",
                    help="also bound the tail, reporting a two-sided interval")
-    _add_common(c)
-    c.set_defaults(handler=_cmd_constant)
+    _add_common(c, "_cmd_constant", reads_floats=True)
 
     e = sub.add_parser(
         "estimate",
@@ -406,8 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--N", type=_count, default=256)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--starts", type=_count, default=8, help=STARTS_HELP)
-    _add_common(e, fmt_default="json")
-    e.set_defaults(handler=_cmd_estimate)
+    _add_common(e, "_cmd_estimate", fmt_default="json", reads_floats=True)
 
     v = sub.add_parser("verify", help="structural checks")
     vs = v.add_subparsers(dest="verb", required=True)
@@ -423,8 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--trials", type=_count, default=200)
     va.add_argument("--seed", type=int, default=0)
     va.add_argument("--tol", type=_tolerance, default=1e-9)
-    _add_common(va)
-    va.set_defaults(handler=_cmd_verify_axioms)
+    _add_common(va, "_cmd_verify_axioms")
 
     vj = vs.add_parser(
         "jcin",
@@ -439,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     vj.add_argument("--trials", type=_count, default=200)
     vj.add_argument("--seed", type=int, default=0)
     vj.add_argument("--tol", type=_tolerance, default=1e-10)
-    _add_common(vj)
-    vj.set_defaults(handler=_cmd_verify_jcin)
+    _add_common(vj, "_cmd_verify_jcin", reads_floats=True)
 
     vc = vs.add_parser(
         "cut",
@@ -455,8 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--blocks", required=True,
                     help="uniform block size, or a comma list of leading sizes")
     vc.add_argument("--N", type=_count, help="number of coarse truncations to check")
-    _add_common(vc)
-    vc.set_defaults(handler=_cmd_verify_cut)
+    _add_common(vc, "_cmd_verify_cut")
 
     vd = vs.add_parser(
         "decreasing",
@@ -468,8 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     vd.add_argument("--w", required=True, help="step widths (weights)")
     vd.add_argument("--grid", required=True, help="comma-separated u values")
     vd.add_argument("--tol", type=_tolerance, default=1e-9)
-    _add_common(vd)
-    vd.set_defaults(handler=_cmd_verify_decreasing)
+    _add_common(vd, "_cmd_verify_decreasing", reads_floats=True)
 
     vl = vs.add_parser(
         "lsc-example",
@@ -480,8 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "semicontinuity permits.")
     vl.add_argument("--kmax", type=int, default=25)
     vl.add_argument("--N", type=_count, default=200)
-    _add_common(vl)
-    vl.set_defaults(handler=_cmd_verify_lsc)
+    _add_common(vl, "_cmd_verify_lsc")
 
     vm = vs.add_parser(
         "mu1-sweep",
@@ -495,8 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     vm.add_argument("--seed", type=int, default=0)
     vm.add_argument("--cap", help="override the closed-form cap")
     vm.add_argument("--tol", type=_tolerance, default=1e-3)
-    _add_common(vm)
-    vm.set_defaults(handler=_cmd_verify_mu1)
+    _add_common(vm, "_cmd_verify_mu1", reads_floats=True)
 
     x = sub.add_parser("explore", help="exploratory sweeps (no pass/fail)")
     xs = x.add_subparsers(dest="verb", required=True)
@@ -512,17 +513,22 @@ def build_parser() -> argparse.ArgumentParser:
     xc.add_argument("--N", type=_count, default=128)
     xc.add_argument("--seed", type=int, default=0)
     xc.add_argument("--starts", type=_count, default=4, help=STARTS_HELP)
-    _add_common(xc)
-    xc.set_defaults(handler=_cmd_explore_continuity)
+    _add_common(xc, "_cmd_explore_continuity", reads_floats=True)
 
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's tree, built on the first main call of the process
+    (not at import) and reused; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        rendered = args.handler(args)
+        rendered = globals()[args.handler](args)
     except (HypothesisViolation, InconclusiveError, MeanDomainError) as exc:
         print(f"hardy: {exc}", file=sys.stderr)
         return 3

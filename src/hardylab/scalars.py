@@ -1,7 +1,9 @@
 """Shared numeric helpers: exact-vs-float bookkeeping, extended reals,
-exact sums and ratios of rationals, the correctly rounded float of an
-exact sum from an integer bracket (rational_fsum), and parsing/formatting
-of number literals ("p/q", decimals, "inf")."""
+exact sums of rationals, rationals as integer masses over one common
+denominator (integer_masses), the correctly rounded float of an exact sum
+from an integer bracket (ratio_fsum over (numerator, denominator) int
+pairs, rational_fsum over rationals), and parsing/formatting of number
+literals ("p/q", decimals, "inf")."""
 
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ def exact_sum(values: Iterable[Number]) -> Number:
     return sum(level)  # 0 when there are no values, as sum() gives
 
 
-# bits that rational_fsum's integer bracket keeps beyond a double's 54
+# bits that ratio_fsum's integer bracket keeps beyond a double's 54
 # (53 and the rounding bit), on top of one per doubling of the term count;
 # the bracket straddles a rounding boundary about once in 2**32 sums that
 # are not exact at its scale, and those take the exact sum
@@ -47,25 +49,33 @@ _FSUM_GUARD_BITS = 32
 
 
 def rational_fsum(values: Iterable[Rational]) -> float:
-    """float(exact_sum(values)) bit for bit, without building the sum.
+    """float(exact_sum(values)) bit for bit, without building the sum:
+    ratio_fsum of the values' (numerator, denominator) pairs."""
+    return ratio_fsum([(int(v.numerator), int(v.denominator)) for v in values])
 
-    For exact rationals a/b with sum S, the integers lo = sum of
-    floor(a 2**B / b) and hi = lo + (the number of terms with a remainder)
-    satisfy lo <= S 2**B <= hi. B puts the largest term about
-    54 + _FSUM_GUARD_BITS + log2(len) bits above the bracket's width, so
-    for positive terms the bracket is far narrower than half an ulp of S;
-    a term of k bits costs one division of k + B bits, where the exact sum
-    pays gcds on a common denominator that grows with every term.
-    Rounding to nearest is monotone and CPython's int / int is correctly
-    rounded, so when lo / 2**B and hi / 2**B give the same double, that
-    double is float(S). Otherwise (S lies near a midpoint between doubles,
-    or terms of both signs cancel) the exact sum decides. Beyond the float
-    range this raises OverflowError, as float(Fraction) does.
+
+def ratio_fsum(pairs: Sequence[Tuple[int, int]]) -> float:
+    """The correctly rounded float of the sum of a/b over int pairs (a, b)
+    with b > 0, without building the sum; the pairs need not be in lowest
+    terms.
+
+    With sum S, the integers lo = sum of floor(a 2**B / b) and
+    hi = lo + (the number of terms with a remainder) satisfy
+    lo <= S 2**B <= hi; the floor and whether it leaves a remainder depend
+    on a/b only, not on how the pair is written. B puts the largest term
+    about 54 + _FSUM_GUARD_BITS + log2(len) bits above the bracket's
+    width, so for positive terms the bracket is far narrower than half an
+    ulp of S; a term of k bits costs one division of k + B bits, where the
+    exact sum pays gcds on a common denominator that grows with every
+    term. Rounding to nearest is monotone and CPython's int / int is
+    correctly rounded, so when lo / 2**B and hi / 2**B give the same
+    double, that double is float(S). Otherwise (S lies near a midpoint
+    between doubles, or terms of both signs cancel) the exact sum, built
+    only then, decides. Beyond the float range this raises OverflowError,
+    as float(Fraction) does.
     """
-    vals = list(values)
-    if not vals:
+    if not pairs:
         return 0.0
-    pairs = [(int(v.numerator), int(v.denominator)) for v in vals]
     top = max(a.bit_length() - b.bit_length() for a, b in pairs)  # log2 of the largest, +-1
     scale = 54 + _FSUM_GUARD_BITS + len(pairs).bit_length() - top  # B
     up, down = max(scale, 0), max(-scale, 0)
@@ -80,7 +90,7 @@ def rational_fsum(values: Iterable[Rational]) -> float:
             return lo_f
     except OverflowError:  # an end beyond the float range; S may be just inside
         pass
-    return float(exact_sum(vals))
+    return float(exact_sum(Fraction(a, b) for a, b in pairs))
 
 
 def integer_masses(values: Iterable[Rational]) -> Tuple[List[int], int]:
@@ -101,12 +111,6 @@ def integer_masses(values: Iterable[Rational]) -> Tuple[List[int], int]:
             dens.append(int(v.denominator))
     d = math.lcm(*dens)
     return [n * (d // k) for n, k in zip(nums, dens)], d
-
-
-def exact_ratio(a: Rational, b: Rational) -> Fraction:
-    """a / b for exact rationals as one Fraction of two integers, which
-    takes one gcd where Fraction division takes two."""
-    return Fraction(a.numerator * b.denominator, a.denominator * b.numerator)
 
 
 def parse_number(text: str) -> Number:

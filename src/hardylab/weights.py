@@ -6,6 +6,14 @@ divergence bookkeeping (a finite prefix can never decide divergence, so
 verdicts come from closed-form knowledge only), term/partial-sum ratio
 diagnostics, block coarsening, and the exact prefix check for the
 partition (coarsening) order.
+
+An exact sequence gives its first N terms as Python-int masses over one
+common denominator (WeightSeq.masses), from a closed form for the
+geometric, perturbed-dyadic and coarsened sequences. The term ratios
+w_n / W_n are then the integer pairs (m_n, M_n), M_n the running sum of
+the masses, so routes that need only their floats, their order or their
+rounded sum (ratio_diagnostics, checks.lsc_example_table) build no
+Fraction and take no gcd.
 """
 
 from __future__ import annotations
@@ -15,12 +23,13 @@ import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .kernel import MeanDomainError
-from .scalars import (Number, exact_ratio, format_number, is_exact, json_ready, parse_float,
+from .scalars import (Number, format_number, integer_masses, is_exact, json_ready, parse_float,
                       parse_number)
 
 # exact ratio diagnostics above this many terms would drag big-integer
@@ -37,12 +46,15 @@ class WeightSeq:
 
     partial_sum(n) uses the supplied closed form when there is one and
     otherwise accumulates terms into a cache (filled once, lock-guarded).
-    tail_bound(n) bounds the mass beyond n, which certifies convergence;
-    sum_diverges records closed-form divergence knowledge (None=unknown).
+    masses(N) likewise uses a supplied closed form, and otherwise the
+    integer masses of the first N terms. tail_bound(n) bounds the mass
+    beyond n, which certifies convergence; sum_diverges records
+    closed-form divergence knowledge (None=unknown).
     """
 
     def __init__(self, descriptor: str, term: Callable[[int], Number], *,
                  partial_sum: Optional[Callable[[int], Number]] = None,
+                 masses: Optional[Callable[[int], Tuple[List[int], int]]] = None,
                  tail_bound: Optional[Callable[[int], Number]] = None,
                  sum_diverges: Optional[bool] = None,
                  divergence_reason: str = "",
@@ -52,11 +64,12 @@ class WeightSeq:
         self.descriptor = descriptor
         self._term = term
         self._partial_sum = partial_sum
+        self._masses = masses
         self._tail_bound = tail_bound
         self.sum_diverges = sum_diverges
         self.divergence_reason = divergence_reason
         self._term_float = term_float
-        self._exact = is_exact(self.term(1))
+        self._exact = is_exact(self._positive(1, term(1)))
         self._cache: List[Number] = [Fraction(0) if self._exact else 0.0]
         self._lock = threading.Lock()
 
@@ -68,7 +81,9 @@ class WeightSeq:
     def term(self, n: int) -> Number:
         if n < 1:
             raise ValueError("terms are 1-indexed")
-        v = self._term(n)
+        return self._positive(n, self._term(n))
+
+    def _positive(self, n: int, v: Number) -> Number:
         if not v > 0:
             raise ValueError(f"{self.descriptor}: term({n}) = {v!r} is not positive")
         return v
@@ -93,6 +108,18 @@ class WeightSeq:
                 k = len(self._cache)
                 self._cache.append(self._cache[-1] + self.term(k))
             return self._cache[n]
+
+    def masses(self, N: int) -> Tuple[List[int], int]:
+        """The first N terms as integer masses over one common denominator:
+        (masses, D) with term(n) == masses[n - 1] / D, all Python ints and
+        not necessarily in lowest terms. Exact-rational sequences only."""
+        if not self._exact:
+            raise TypeError(f"{self.descriptor}: integer masses need an exact-rational sequence")
+        if N < 0:
+            raise ValueError("need N >= 0")
+        if self._masses is not None:
+            return self._masses(N)
+        return integer_masses([self.term(n) for n in range(1, N + 1)])
 
     def tail_bound(self, n: int) -> Optional[Number]:
         """Upper bound on the weight mass strictly beyond position n, when
@@ -149,7 +176,8 @@ def _geometric(desc: str, q: Number, qf: float) -> WeightSeq:
 
     Partial sums are n q at q = 1 and a (b^n - a^n) / (b^n (b - a))
     otherwise; below 1 the tail beyond n is a^(n+1) / (b^n (b - a)). Each
-    is one Fraction of two integers (an int at q = 1).
+    is one Fraction of two integers (an int at q = 1). The first N terms
+    are the masses a^n b^(N-n) over b^N.
     """
     a, b = q.numerator, q.denominator
 
@@ -159,10 +187,19 @@ def _geometric(desc: str, q: Number, qf: float) -> WeightSeq:
         bn = b ** n
         return Fraction(a * (bn - a ** n), bn * (b - a))
 
+    def masses(N):
+        d = m = b ** N
+        out = []
+        for _ in range(N):  # a^n b^(N-n) from a^(n-1) b^(N-n+1)
+            m = m // b * a
+            out.append(m)
+        return out, d
+
     converges = q < 1
     return WeightSeq(
         desc, lambda n: q ** n,
         partial_sum=psum,
+        masses=masses,
         tail_bound=(lambda n: Fraction(a ** (n + 1), b ** n * (b - a))) if converges else None,
         sum_diverges=not converges,
         divergence_reason=f"geometric with ratio {format_number(q)} "
@@ -215,6 +252,13 @@ def make_sequence(spec: str) -> WeightSeq:
             extra = 2 ** n - 2 ** (n - _k) if n >= _k else 0
             return Fraction(2 ** n - 1 + extra, 2 ** n)
 
+        def masses(N, _k=k):
+            # dyadic over 2^N, and the whole denominator at the bump
+            out = [1 << (N - n) for n in range(1, N + 1)]
+            if _k <= N:
+                out[_k - 1] = 1 << N
+            return out, 1 << N
+
         def tail(n, _k=k):
             # the dyadic tail 2^-n, plus 1 - 2^-k before the bump
             if n >= _k:
@@ -224,6 +268,7 @@ def make_sequence(spec: str) -> WeightSeq:
         return WeightSeq(
             f"perturbed-dyadic:{k}", term,
             partial_sum=psum,
+            masses=masses,
             tail_bound=tail,
             sum_diverges=False,
             divergence_reason="dyadic with a single bumped term",
@@ -315,9 +360,17 @@ class RatioReport:
         return out
 
 
+def term_ratio_pairs(w: WeightSeq, N: int) -> List[Tuple[int, int]]:
+    """(m_n, M_n) for n = 1..N of an exact sequence, with w.masses(N) the
+    m_n and M_n their running sums, so that w_n / W_n == m_n / M_n; the
+    pairs are not reduced."""
+    masses, _ = w.masses(N)
+    return list(zip(masses, accumulate(masses)))
+
+
 def term_ratios(w: WeightSeq, N: int) -> List[Fraction]:
     """w_n / W_n for n = 1..N of an exact sequence, exactly."""
-    return [exact_ratio(w.term(n), w.partial_sum(n)) for n in range(1, N + 1)]
+    return [Fraction(m, M) for m, M in term_ratio_pairs(w, N)]
 
 
 def ratio_diagnostics(w: WeightSeq, N: int, *,
@@ -331,15 +384,21 @@ def ratio_diagnostics(w: WeightSeq, N: int, *,
     knowledge report "inconclusive". Ratios always sit in (0, 1] and the
     first one equals 1. floats, when given, is w.terms_floats(N), which
     the float path then does not build again.
+
+    The exact path works on the integer masses: each ratio m_n / M_n and
+    the max-term ratio are int / int, correctly rounded as float(Fraction)
+    is, and monotonicity compares m_n M_(n+1) with m_(n+1) M_n.
     """
     if N < 1:
         raise ValueError("need N >= 1")
     if w.exact and N <= EXACT_RATIO_LIMIT:
-        exact_ratios = term_ratios(w, N)
-        noninc = all(a >= b for a, b in zip(exact_ratios, exact_ratios[1:]))
-        ratios = tuple(float(r) for r in exact_ratios)
-        psum_n = w.partial_sum(N)
-        max_ratio = float(exact_ratio(max(w.term(n) for n in range(1, N + 1)), psum_n))
+        masses, d = w.masses(N)
+        pairs = list(zip(masses, accumulate(masses)))
+        noninc = all(m * M1 >= m1 * M for (m, M), (m1, M1) in zip(pairs, pairs[1:]))
+        ratios = tuple(m / M for m, M in pairs)
+        total = pairs[-1][1]
+        psum_n = Fraction(total, d)
+        max_ratio = max(masses) / total
     else:
         arr = w.terms_floats(N) if floats is None else floats
         sums = np.cumsum(arr)
@@ -370,7 +429,8 @@ def coarsen(w: WeightSeq, blocks: Sequence[int]) -> WeightSeq:
 
     `blocks` gives the leading block sizes; beyond the given list blocks
     default to size 1. Block sums use partial-sum differences, so the
-    result is exact whenever w is. The result is a partition-coarsening of
+    result is exact whenever w is; its masses are the block sums of w's
+    masses over w's denominator. The result is a partition-coarsening of
     w, certifiable prefix-by-prefix with is_coarsening_of.
     """
     sizes = [int(b) for b in blocks]
@@ -387,12 +447,17 @@ def coarsen(w: WeightSeq, blocks: Sequence[int]) -> WeightSeq:
             return bounds[k]
         return bounds[-1] + (k - len(sizes))
 
+    def masses(N: int) -> Tuple[List[int], int]:
+        fine, d = w.masses(boundary(N))
+        return [sum(fine[boundary(k - 1):boundary(k)]) for k in range(1, N + 1)], d
+
     has_tail = w.tail_bound(1) is not None
     shown = ",".join(map(str, sizes[:8])) + (",..." if len(sizes) > 8 else "")
     return WeightSeq(
         f"coarsen[{shown}]({w.descriptor})",
         lambda k: w.partial_sum(boundary(k)) - w.partial_sum(boundary(k - 1)),
         partial_sum=lambda k: w.partial_sum(boundary(k)),
+        masses=masses,
         tail_bound=(lambda k: w.tail_bound(boundary(k))) if has_tail else None,
         sum_diverges=w.sum_diverges,
         divergence_reason=w.divergence_reason)

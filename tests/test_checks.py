@@ -17,7 +17,8 @@ from hardylab.hardy import HypothesisViolation, InconclusiveError, arithmetic_ha
 from hardylab.kernel import MeanFlags, MeanSpec, StepFunction, evaluate, step_profile
 from hardylab.scalars import exact_sum
 from hardylab.search import SearchResult
-from hardylab.weights import coarsen, make_sequence, random_rational_sequence, term_ratios
+from hardylab.weights import (WeightSeq, coarsen, make_sequence, random_rational_sequence,
+                              term_ratios)
 
 fractions_pos = st.fractions(min_value=Fraction(1, 20), max_value=100,
                              max_denominator=20)
@@ -388,7 +389,7 @@ class TestLscTable:
 
     def test_builds_no_exact_sum(self, monkeypatch):
         # every bracket decides its rounding, so the exact sum, the
-        # fallback of rational_fsum, is never built
+        # fallback of ratio_fsum, is never built
         def refuse(values):
             raise AssertionError("exact sum built")
 
@@ -396,6 +397,17 @@ class TestLscTable:
         monkeypatch.setattr(hardy, "exact_sum", refuse)
         rep = lsc_example_table(25, 200)
         assert rep.dip_positions == (1,)
+
+    def test_calls_no_term(self, monkeypatch):
+        # the closed-form masses of dyadic and perturbed-dyadic feed the
+        # bracket as integer pairs, with no Fraction ratio per term
+        def refuse(*args):
+            raise AssertionError("a term or a Fraction ratio was built")
+
+        want = lsc_example_table(25, 200)
+        monkeypatch.setattr(WeightSeq, "term", refuse)
+        monkeypatch.setattr(checks, "term_ratios", refuse)
+        assert lsc_example_table(25, 200) == want
 
     def test_truncation_margin_enforced(self):
         with pytest.raises(ValueError, match="margin"):

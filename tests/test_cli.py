@@ -208,6 +208,16 @@ class TestVerifySubcommands:
         for key in ("passed", "margin", "witness"):
             assert ident[key] == arith[key]
 
+    @pytest.mark.parametrize("mean", ["arithmetic", "power:1/2"])
+    def test_cut_refuses_float_mode_weights(self, capsys, mean):
+        # non-integer power:ALPHA weights are float-mode: the route's
+        # precondition fails (exit 3), the argv is well formed (not 2)
+        code, out, err = run(capsys, "verify", "cut", "--mean", mean, "--weights",
+                             "power:-3/2", "--blocks", "2", "--N", "4")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "exact-rational weights" in err
+
     def test_cut_certified_sections(self, capsys):
         code, out, _ = run(capsys, "verify", "cut", "--mean", "power:1/2",
                            "--weights", "ones", "--blocks", "2", "--N", "3",
@@ -418,6 +428,10 @@ class TestPlumbing:
          "--q", "1/2"),
         ("estimate", "--method", "kedlaya", "--mean", "power:0", "--weights", "ones",
          "--N", "100", "--window", "1/2"),
+        # --float only where number literals are read
+        ("verify", "axioms", "--mean", "power:1/2", "--trials", "2", "--float"),
+        ("verify", "cut", "--weights", "geometric:1/2", "--blocks", "2,3,1", "--float"),
+        ("verify", "lsc-example", "--kmax", "3", "--N", "11", "--float"),
     ])
     def test_usage_errors_exit_two(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -475,3 +489,52 @@ class TestPlumbing:
         assert code == 2
         assert out == ""
         assert err == f"hardy: cannot write {path}: No such file or directory\n"
+
+
+class TestParserReuse:
+    ARGVS = [
+        ("constant", "--copson", "1/2", "--format", "json"),
+        ("verify", "lsc-example", "--kmax", "3", "--N", "11", "--format", "csv"),
+        ("constant", "--arithmetic", "--weights", "geometric:9/10", "--N", "30",
+         "--certified"),
+        ("verify", "cut", "--weights", "geometric:1/2", "--blocks", "2,3,1",
+         "--format", "json"),
+        ("estimate", "--method", "nonweighted-limit", "--mean", "power:0", "--N", "40"),
+        ("verify", "jcin", "--mean", "power:1/2", "--x", "1,3,2", "--w", "1,2,1/2",
+         "--format", "json"),
+        ("constant", "--copson", "0.5"),  # a usage error: exit 2 on stderr
+        ("estimate", "--method", "finite", "--mean", "power:1/2", "--weights", "dyadic",
+         "--N", "6", "--starts", "2", "--float", "--format", "csv"),
+        ("verify", "cut", "--weights", "power:-3/2", "--blocks", "2", "--N", "4"),
+    ]
+
+    def test_interleaved_calls_print_the_bytes_of_lone_calls(self, capsys):
+        import hardylab.cli as cli
+
+        def lone(argv):
+            cli._parser.cache_clear()  # a parser of its own
+            return run(capsys, *argv)
+
+        want = {argv: lone(argv) for argv in self.ARGVS}
+        cli._parser.cache_clear()
+        # each command after every other one, with the parser kept
+        order = self.ARGVS + self.ARGVS[::-1] + self.ARGVS[::2] + self.ARGVS[1::2]
+        for argv in order:
+            assert run(capsys, *argv) == want[argv], argv
+
+    def test_the_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        import hardylab.cli as cli
+
+        build, built = cli.build_parser, []
+
+        def counting():
+            built.append(1)
+            return build()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for argv in self.ARGVS[:3]:
+                run(capsys, *argv)
+        finally:
+            cli._parser.cache_clear()  # drop the parser built by the wrapper
+        assert len(built) == 1

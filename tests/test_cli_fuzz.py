@@ -59,7 +59,8 @@ TRIALS = _one("--trials", count)
 SEED = _opt("--seed", st.sampled_from(SEEDS))
 TOL = _opt("--tol", number)
 
-COMMANDS = st.one_of(
+# the commands that read number literals, and so take --float
+FLOAT_COMMANDS = st.one_of(
     _cmd(("constant",), _one("--copson", number)),
     _cmd(("constant", "--arithmetic"), WEIGHT, N,
          st.sampled_from([[], ["--certified"]])),
@@ -67,25 +68,30 @@ COMMANDS = st.one_of(
          _opt("--starts", count), SEED),
     _cmd(("estimate", "--method", "kedlaya"), MEAN, WEIGHT, N),
     _cmd(("estimate", "--method", "nonweighted-limit"), MEAN, N),
-    _cmd(("verify", "axioms"), MEAN, TRIALS, SEED, TOL),
     _cmd(("verify", "jcin"), MEAN,
          st.one_of(_cmd(_one("--x", st.sampled_from(LISTS)),
                         _one("--w", st.sampled_from(LISTS))),
                    TRIALS),
          TOL),
-    _cmd(("verify", "cut"), MEAN, WEIGHT, _one("--blocks", st.sampled_from(BLOCKS)),
-         _opt("--N", count)),
     _cmd(("verify", "decreasing"), MEAN, _one("--x", st.sampled_from(LISTS)),
          _one("--w", st.sampled_from(LISTS)), _one("--grid", st.sampled_from(LISTS)),
          TOL),
-    _cmd(("verify", "lsc-example"), _one("--kmax", st.sampled_from(["1", "3", "0"])), N),
     _cmd(("verify", "mu1-sweep"), MEAN, TRIALS, N, _opt("--cap", number), TOL),
     _cmd(("explore", "continuity"), MEAN, _opt("--s-grid", st.sampled_from(LISTS)),
          N, _opt("--starts", count)),
 )
-ARGVS = st.tuples(COMMANDS, st.sampled_from(["json", "json", "csv", "text"]),
-                  st.booleans()).map(
-    lambda t: t[0] + ["--format", t[1]] + (["--float"] if t[2] else []))
+# the commands without --float (it is a usage error there)
+PLAIN_COMMANDS = st.one_of(
+    _cmd(("verify", "axioms"), MEAN, TRIALS, SEED, TOL),
+    _cmd(("verify", "cut"), MEAN, WEIGHT, _one("--blocks", st.sampled_from(BLOCKS)),
+         _opt("--N", count)),
+    _cmd(("verify", "lsc-example"), _one("--kmax", st.sampled_from(["1", "3", "0"])), N),
+)
+FORMAT = st.sampled_from(["json", "json", "csv", "text"]).map(lambda f: ["--format", f])
+ARGVS = st.one_of(
+    _cmd(FLOAT_COMMANDS, FORMAT, st.sampled_from([[], ["--float"]])),
+    _cmd(PLAIN_COMMANDS, FORMAT),
+)
 
 
 def _refuse_constant(name):

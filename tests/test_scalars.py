@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab.scalars import (_digits, exact_ratio, exact_sum, format_number,
-                              is_exact, json_ready, parse_number, rational_fsum)
+from hardylab.scalars import (_digits, exact_sum, format_number, is_exact, json_ready,
+                              parse_number, ratio_fsum, rational_fsum)
 
 
 class TestParseNumber:
@@ -116,12 +116,6 @@ class TestExactSum:
     def test_accepts_a_generator(self):
         assert exact_sum(Fraction(1, n) for n in range(1, 5)) == Fraction(25, 12)
 
-    @settings(max_examples=200, deadline=None)
-    @given(EXACT_VALUES, EXACT_VALUES.filter(lambda v: v != 0))
-    def test_ratio_equals_fraction_division(self, a, b):
-        got = exact_ratio(a, b)
-        assert got == Fraction(a) / Fraction(b) and type(got) is Fraction
-
 
 def _tie_parts(d, a, b, c):
     """The midpoint between the double d and the next one up, split into
@@ -203,6 +197,24 @@ class TestRationalFsum:
 
     def test_accepts_a_generator(self):
         assert rational_fsum(Fraction(1, n) for n in range(1, 5)) == 25 / 12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(POSITIVE_RATIONALS, st.integers(1, 10 ** 30)),
+                    min_size=1, max_size=16))
+    def test_pairs_need_not_be_in_lowest_terms(self, scaled):
+        # each value written as (k a, k b): the bracket's floors and
+        # remainders, so the rounded sum, depend on a/b only
+        values = [Fraction(v) for v, _ in scaled]
+        pairs = [(k * v.numerator, k * v.denominator) for v, (_, k) in zip(values, scaled)]
+        assert _outcome(ratio_fsum, pairs) == _outcome(rational_fsum, values)
+
+    def test_unreduced_pairs_at_a_straddle_fall_back_exactly(self):
+        # the straddle of test_straddle_above_the_midpoint, every pair
+        # scaled by 6: the fallback builds the reduced Fractions
+        values = [Fraction(1), Fraction(1, 2 ** 53), Fraction(1, 3 * 2 ** 400)]
+        pairs = [(6 * v.numerator, 6 * v.denominator) for v in values]
+        assert ratio_fsum(pairs) == 1 + 2 ** -52
+        assert ratio_fsum([]) == 0.0
 
 
 class TestIsExact:

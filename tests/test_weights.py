@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hardylab import weights
 from hardylab.weights import (WeightSeq, as_float, coarsen, is_coarsening_of,
                               make_sequence, random_rational_sequence,
-                              ratio_diagnostics)
+                              ratio_diagnostics, term_ratio_pairs, term_ratios)
 
 
 def accumulated(seq, n):
@@ -220,6 +220,53 @@ class TestRatioDiagnostics:
         out = ratio_diagnostics(make_sequence("ones"), 5).to_json()
         assert out["divergence_verdict"] == "diverges"
         assert "ratios" in out  # small N includes the full list
+
+
+def _sequence(desc):
+    if desc == "random-rational:1":
+        return random_rational_sequence(1)
+    if desc == "coarsen":
+        return coarsen(make_sequence("geometric:2/3"), [2, 1, 3])
+    if desc == "coarsen-bump":
+        return coarsen(make_sequence("perturbed-dyadic:4"), [3, 2])
+    return make_sequence(desc)
+
+
+# descriptors whose masses come from a closed form
+CLOSED_FORMS = ["ones", "dyadic", "geometric:9/10", "geometric:3", "perturbed-dyadic:2",
+                "perturbed-dyadic:3", "perturbed-dyadic:70", "coarsen", "coarsen-bump"]
+
+
+class TestMasses:
+    @pytest.mark.parametrize("N", [1, 2, 60])
+    @pytest.mark.parametrize("desc", CLOSED_FORMS + ["power:-2", "power:2",
+                                                     "random-rational:1"])
+    def test_masses_over_the_denominator_are_the_terms(self, desc, N):
+        seq = _sequence(desc)
+        masses, d = seq.masses(N)
+        assert len(masses) == N and type(d) is int and d > 0
+        assert all(type(m) is int for m in masses)
+        assert [Fraction(m, d) for m in masses] == [seq.term(n) for n in range(1, N + 1)]
+        # the term ratios are the running sums' pairs, equal as rationals
+        pairs = term_ratio_pairs(seq, N)
+        assert [Fraction(m, M) for m, M in pairs] == \
+            [Fraction(seq.term(n)) / seq.partial_sum(n) for n in range(1, N + 1)]
+
+    def test_float_sequences_have_no_masses(self):
+        for seq in (make_sequence("power:-3/2"), as_float(make_sequence("dyadic"))):
+            with pytest.raises(TypeError, match="exact-rational"):
+                seq.masses(3)
+
+    @pytest.mark.parametrize("desc", CLOSED_FORMS)
+    def test_closed_forms_call_no_term(self, desc, monkeypatch):
+        seq = _sequence(desc)
+
+        def refuse(self, n):
+            raise AssertionError("WeightSeq.term called")
+        monkeypatch.setattr(WeightSeq, "term", refuse)
+        rep = ratio_diagnostics(seq, 60)
+        assert rep.ratios[0] == 1.0
+        assert len(term_ratios(seq, 60)) == 60
 
 
 class TestCoarsen:
