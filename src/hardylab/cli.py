@@ -17,7 +17,8 @@ Output is deterministic for a fixed argv and seed: JSON has sorted keys,
 a "schema" tag and no timestamps; rational values print as "p/q". Number
 literals on the command line parse exactly unless --float is given, an
 option of the subcommands that read them only (not verify axioms, cut or
-lsc-example); --tol is a float either way (finite and >= 0), and --N,
+lsc-example, nor estimate --method nonweighted-limit, which takes no
+--weights either: it runs on unit weights); --tol is a float either way (finite and >= 0), and --N,
 --trials and --starts (estimate and explore continuity only) whole
 numbers >= 1. The parser is built on the first main call of a process
 and reused; handlers are looked up by name at dispatch.
@@ -210,18 +211,25 @@ def _cmd_constant(args) -> Rendered:
 
 
 def _cmd_estimate(args) -> Rendered:
-    lam = _weights_arg(args.weights, args.float)
-    cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
+    if args.method == "nonweighted-limit":
+        # the limit runs on unit weights, and both options only steer how
+        # weights are read
+        if args.weights is not None or args.float:
+            raise ValueError("--method nonweighted-limit runs on unit weights; "
+                             "it takes neither --weights nor --float")
+        weights = "ones"
+    else:
+        weights = "ones" if args.weights is None else args.weights
+        lam = _weights_arg(weights, args.float)
+    mean = parse_mean(args.mean)
     if args.method == "finite":
-        mean = parse_mean(args.mean)
-        est = finite_lower_bound(mean, lam, args.N, cfg)
+        est = finite_lower_bound(mean, lam, args.N,
+                                 OptimizerConfig(starts=args.starts, seed=args.seed))
     elif args.method == "kedlaya":
-        mean = parse_mean(args.mean)
         est = kedlaya_estimate(mean, lam, args.N)
-    else:  # nonweighted-limit
-        mean = parse_mean(args.mean)
+    else:
         est = unweighted_limit(mean, args.N)
-    config = {"mean": args.mean, "weights": args.weights, "method": args.method,
+    config = {"mean": args.mean, "weights": weights, "method": args.method,
               "N": args.N, "seed": args.seed, "starts": args.starts}
     text = (f"{est.kind}: value={est.value!r} direction={est.direction} "
             f"mean={est.mean} weights={est.weights} N={est.N}")
@@ -408,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "For the arithmetic mean, 'hardy constant --arithmetic' "
                     "gives the exact partial sum.")
     e.add_argument("--mean", default="power:1", help="mean descriptor")
-    e.add_argument("--weights", default="ones", help="weight descriptor")
+    e.add_argument("--weights", help="weight descriptor (default ones; not with "
+                                     "--method nonweighted-limit)")
     e.add_argument("--method", required=True,
                    choices=("finite", "kedlaya", "nonweighted-limit"))
     e.add_argument("--N", type=_count, default=256)

@@ -9,7 +9,13 @@ sum_n w_n M(x_1..x_n, w_1..w_n) <= C sum_n w_n x_n:
 - the substitution x_n = y/W_n whose trailing terms approach the
   constant from below when weight sums diverge and term ratios are
   nonincreasing,
-- the unweighted limit n * M(1, 1/2, ..., 1/n).
+- the unweighted limit n * M(1, 1/2, ..., 1/n), the substitution at unit
+  weights and y = 1.
+
+The last two stream their terms in blocks of _BLOCK, carrying the partial
+sums and the prefix means' running state from block to block, so their
+memory does not grow with N and they report what one pass over whole
+arrays reports, bit for bit.
 
 Routes either return an estimate with honest diagnostics or raise:
 HypothesisViolation when a route's preconditions fail on the given
@@ -21,15 +27,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .scalars import Number, exact_sum, json_ready
 from .kernel import MeanDomainError, MeanSpec
 from .families import power_order
-from .search import OptimizerConfig, maximize_hardy_ratio, prefix_means
-from .weights import WeightSeq, ratio_diagnostics, term_ratios
+from .search import OptimizerConfig, _carries, _prefix_means, maximize_hardy_ratio
+from .weights import (EXACT_RATIO_LIMIT, WeightSeq, make_sequence, ratio_diagnostics,
+                      term_ratios)
 
 # trailing-window fraction for steady-state estimates and the a(N)-a(N/2)
 # drift past which a route is flagged as trending upward instead of
@@ -38,6 +45,10 @@ STEADY_WINDOW = 0.5
 DIVERGENCE_DRIFT = 0.05
 
 DEFAULT_Y_GRID = tuple(2.0 ** k for k in range(-10, 11))
+
+# terms per block of the streamed substitution routes: a block's arrays
+# fit in a core's L2 cache, and no array of length N is built
+_BLOCK = 1 << 16
 
 
 class HypothesisViolation(ValueError):
@@ -181,23 +192,77 @@ def finite_lower_bound(mean: MeanSpec, lam: WeightSeq, N: int,
 # ---------------------------------------------------------------------------
 
 
-def _steady_stats(values: np.ndarray) -> Tuple[float, bool, float]:
-    n = len(values)
-    start = max(1, int(math.ceil(STEADY_WINDOW * n))) - 1
-    steady = float(np.min(values[start:]))
-    drift = float(values[-1] - values[n // 2 - 1]) if n >= 2 else 0.0
-    return steady, drift > DIVERGENCE_DRIFT, drift
+class _Steady:
+    """What the substitution routes report of one sequence a_1..a_N,
+    reduced block by block in order: the least term of its trailing
+    STEADY_WINDOW fraction, a_(N//2) and a_N, whether every term is
+    finite; it is also the state of search._prefix_means, whose carry
+    holds the running state of the prefix means between blocks."""
+
+    def __init__(self, N: int):
+        self.start = max(1, math.ceil(STEADY_WINDOW * N)) - 1
+        self.half = N // 2 - 1
+        self.mins = []
+        self.finite = True
+        self.carry = None
+
+    def add(self, lo: int, a: np.ndarray) -> None:
+        """Take in the block a_(lo+1), ..., a_(lo+len(a))."""
+        hi = lo + len(a)
+        self.finite = self.finite and bool(np.all(np.isfinite(a)))
+        if hi > self.start:
+            self.mins.append(np.min(a[max(self.start - lo, 0):]))
+        if lo <= self.half < hi:
+            self.at_half = a[self.half - lo]
+        self.last = a[-1]
+
+    def stats(self) -> Tuple[float, bool, float]:
+        """(steady, divergent trend, drift a_N - a_(N//2))."""
+        drift = float(self.last - self.at_half)
+        return float(np.min(self.mins)), drift > DIVERGENCE_DRIFT, drift
 
 
-def _substitution_terms(mean: MeanSpec, w: np.ndarray, W: np.ndarray,
-                        y: float) -> np.ndarray:
-    if not y > 0:
-        raise ValueError("need y > 0")
-    return (W / y) * prefix_means(mean, y / W, w)
+def _substitution_terms(mean: MeanSpec, w: np.ndarray, W: np.ndarray, y: float,
+                        state=None) -> np.ndarray:
+    """a_n = (W_n / y) M_n over weights w with partial sums W, one block of
+    a longer sequence when state carries its prefix means' running state
+    (see search._prefix_means)."""
+    return (W / y) * _prefix_means(mean, y / W, w, W, state)
+
+
+def _substitution_stats(mean: MeanSpec, lam: WeightSeq, N: int, ys: Sequence[float],
+                        ratios: bool = False) -> Tuple[List[_Steady], bool]:
+    """The substitution sequence of each y of ys over the first N terms of
+    lam, reduced by _Steady as it streams: _BLOCK terms at a time (an
+    opaque mean in one block), the partial sum W carried from block to
+    block, every y run over a block of weights before the next is read.
+    With ratios, also whether the float ratios w_n / W_n are nonincreasing,
+    as ratio_diagnostics' float path finds; once they are not, the means
+    are skipped, but the terms are still read, so that a term outside the
+    float range raises first, as it did when all N were read at once."""
+    rows = [_Steady(N) for _ in ys]
+    total = last_ratio = None
+    nonincreasing = True
+    block = _BLOCK if _carries(mean) else N
+    for lo in range(0, N, block):
+        w = lam.terms_floats(min(lo + block, N), lo)
+        W = np.cumsum(w if total is None else np.concatenate(([total + w[0]], w[1:])))
+        total = W[-1]
+        if ratios and nonincreasing:
+            r = w / W
+            nonincreasing = bool((last_ratio is None or last_ratio >= r[0])
+                                 and np.all(r[:-1] >= r[1:]))
+            last_ratio = r[-1]
+        if nonincreasing:
+            for y, row in zip(ys, rows):
+                row.add(lo, _substitution_terms(mean, w, W, y, row))
+    return rows, nonincreasing
 
 
 def kedlaya_sequence(mean: MeanSpec, lam: WeightSeq, y: float, N: int) -> np.ndarray:
     """a_n = (W_n / y) * M(y/W_1, ..., y/W_n; w_1..w_n) for n = 1..N."""
+    if not y > 0:
+        raise ValueError("need y > 0")
     w = lam.terms_floats(N)
     return _substitution_terms(mean, w, np.cumsum(w), y)
 
@@ -217,6 +282,11 @@ def kedlaya_estimate(mean: MeanSpec, lam: WeightSeq, N: int) -> HardyEstimate:
     the observed spread. A row whose terms are not all finite (the mean
     overflowed) is marked {"y": y, "finite": false} in per_y and left out
     of the best y and the spread; MeanDomainError if every row is.
+
+    The terms stream in blocks (_substitution_stats), so memory does not
+    grow with N. An exact sequence of at most EXACT_RATIO_LIMIT terms has
+    its ratios checked exactly; longer or float ones, on the streamed
+    floats.
     """
     if N < 4:
         raise ValueError("need N >= 4")
@@ -225,21 +295,22 @@ def kedlaya_estimate(mean: MeanSpec, lam: WeightSeq, N: int) -> HardyEstimate:
         raise HypothesisViolation(
             f"{lam.descriptor}: weight sum {state}; the substitution route "
             "needs divergent weight sums")
-    w = lam.terms_floats(N)
-    rep = ratio_diagnostics(lam, N, floats=w)
-    if not rep.is_nonincreasing:
+    ys = (1.0,) if power_order(mean) is not None else DEFAULT_Y_GRID
+    exact = lam.exact and N <= EXACT_RATIO_LIMIT
+    nonincreasing = not exact or ratio_diagnostics(lam, N).is_nonincreasing
+    rows, streamed = _substitution_stats(mean, lam, N, ys if nonincreasing else (),
+                                         ratios=not exact)
+    if not (nonincreasing and streamed):
         raise HypothesisViolation(
             f"{lam.descriptor}: term/partial-sum ratios are not nonincreasing "
             f"over the first {N} terms")
-    W = np.cumsum(w)
     per_y = []
     best = None
-    for y in (1.0,) if power_order(mean) is not None else DEFAULT_Y_GRID:
-        a = _substitution_terms(mean, w, W, y)
-        if not np.all(np.isfinite(a)):
+    for y, a in zip(ys, rows):
+        if not a.finite:
             per_y.append({"y": y, "finite": False})
             continue
-        steady, trend, drift = _steady_stats(a)
+        steady, trend, drift = a.stats()
         row = {"y": y, "steady": steady, "divergent_trend": trend, "drift": drift}
         per_y.append(row)
         if best is None or steady > best[0]:
@@ -267,18 +338,19 @@ def unweighted_limit(mean: MeanSpec, N: int) -> HardyEstimate:
 
     The drift between N/2 and N distinguishes settling routes from
     divergent ones (the arithmetic mean gives harmonic numbers and is
-    flagged; orders p < 1 settle toward the closed-form constant).
+    flagged; orders p < 1 settle toward the closed-form constant). The
+    sequence is kedlaya_sequence(mean, ones, 1.0, N), streamed as
+    kedlaya_estimate streams it.
     """
     if N < 4:
         raise ValueError("need N >= 4")
-    n = np.arange(1.0, N + 1.0)
-    a = n * prefix_means(mean, 1.0 / n, np.ones(N))
-    steady, trend, drift = _steady_stats(a)
+    (a,), _ = _substitution_stats(mean, make_sequence("ones"), N, (1.0,))
+    steady, trend, drift = a.stats()
     return HardyEstimate(
         kind="unweighted-limit", mean=mean.name, weights="ones", N=N,
-        value=float(a[-1]),
+        value=float(a.last),
         diagnostics={
-            "half_value": float(a[N // 2 - 1]),
+            "half_value": float(a.at_half),
             "drift": drift,
             "divergent_trend": trend,
             "steady_min": steady,

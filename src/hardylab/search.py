@@ -209,23 +209,55 @@ def prefix_means(mean: MeanSpec, x: Sequence[float], w: Sequence[float]) -> np.n
     return _prefix_means(mean, np.asarray(x, dtype=float), w, np.cumsum(w))
 
 
+def _carries(mean: MeanSpec) -> bool:
+    """Whether _prefix_means can carry mean's running state from one block
+    of a sequence into the next: every mean but an opaque one."""
+    return power_order(mean) is not None or _transform(mean) is not None
+
+
 def _prefix_means(mean: MeanSpec, x: np.ndarray, w: np.ndarray,
-                  W: np.ndarray) -> np.ndarray:
-    """prefix_means over arrays, with the weights' partial sums W."""
+                  W: np.ndarray, state=None) -> np.ndarray:
+    """prefix_means over arrays, with the weights' partial sums W.
+
+    A long sequence can be evaluated block by block, with W the partial
+    sums of the whole sequence over the block. state is then an object
+    whose attribute carry holds the running state after the earlier
+    blocks, None before the first, and is updated in place: the transform
+    sum T (see _transform), the log-sum of the log regime or the running
+    extreme of min and max. A later block folds carry into its first
+    element before it accumulates, and np.add.accumulate and
+    np.logaddexp.accumulate run left to right, so the blocks give the
+    one-pass means bit for bit; only the first block's one-term prefix is
+    x_1 exactly. An opaque mean has no running state (see _carries), so
+    its sequence is one block.
+    """
+    carry = None if state is None else state.carry
     pair, p = _transform(mean), power_order(mean)
     with np.errstate(all="ignore"):
         if pair is not None:
             phi, psi = pair
-            out = np.asarray(psi(np.cumsum(w * np.asarray(phi(x), dtype=float)) / W),
-                             dtype=float)
+            terms = w * np.asarray(phi(x), dtype=float)
+            if carry is not None:
+                terms[0] += carry
+            run = np.cumsum(terms)
+            out = np.asarray(psi(run / W), dtype=float)
         elif p is None:
             return _direct_means(mean, x, w)
         elif order_regime(p) == "log":
-            out = np.exp((np.logaddexp.accumulate(np.log(w) + p * np.log(x))
-                          - np.log(W)) / p)
+            ell = np.log(w) + p * np.log(x)
+            if carry is not None:
+                ell[0] = np.logaddexp(carry, ell[0])
+            run = np.logaddexp.accumulate(ell)
+            out = np.exp((run - np.log(W)) / p)
         else:
-            out = (np.maximum if p > 0 else np.minimum).accumulate(x)
-    out[:1] = x[:1]
+            op = np.maximum if p > 0 else np.minimum
+            if carry is not None:
+                x = np.concatenate(([op(carry, x[0])], x[1:]))
+            out = run = op.accumulate(x)
+    if carry is None:
+        out[:1] = x[:1]
+    if state is not None:
+        state.carry = run[-1]
     return out
 
 

@@ -49,7 +49,9 @@ class WeightSeq:
     masses(N) likewise uses a supplied closed form, and otherwise the
     integer masses of the first N terms. tail_bound(n) bounds the mass
     beyond n, which certifies convergence; sum_diverges records
-    closed-form divergence knowledge (None=unknown).
+    closed-form divergence knowledge (None=unknown). floats(start, n), where
+    supplied, gives the floats of terms start+1..n as one array, for
+    families whose floats it computes exactly (see terms_floats).
     """
 
     def __init__(self, descriptor: str, term: Callable[[int], Number], *,
@@ -58,7 +60,8 @@ class WeightSeq:
                  tail_bound: Optional[Callable[[int], Number]] = None,
                  sum_diverges: Optional[bool] = None,
                  divergence_reason: str = "",
-                 term_float: Optional[Callable[[int], float]] = None):
+                 term_float: Optional[Callable[[int], float]] = None,
+                 floats: Optional[Callable[[int, int], np.ndarray]] = None):
         if tail_bound is not None and sum_diverges:
             raise ValueError("a sequence with a bounded tail cannot diverge")
         self.descriptor = descriptor
@@ -69,6 +72,7 @@ class WeightSeq:
         self.sum_diverges = sum_diverges
         self.divergence_reason = divergence_reason
         self._term_float = term_float
+        self._floats = floats
         self._exact = is_exact(self._positive(1, term(1)))
         self._cache: List[Number] = [Fraction(0) if self._exact else 0.0]
         self._lock = threading.Lock()
@@ -130,15 +134,23 @@ class WeightSeq:
 
     # -- float views for array computations ----------------------------------
 
-    def terms_floats(self, n: int) -> np.ndarray:
-        """The first n terms as floats; terms that leave the float range
-        are a domain error of the float routes, not a usage error."""
-        tf = self._term_float or (lambda k: float(self.term(k)))
-        try:
-            arr = np.array([tf(k) for k in range(1, n + 1)], dtype=float)
-        except OverflowError:
-            raise MeanDomainError(
-                f"{self.descriptor}: terms overflow float range before n={n}") from None
+    def terms_floats(self, n: int, start: int = 0) -> np.ndarray:
+        """Terms start+1..n as floats, the first n by default; terms that
+        leave the float range are a domain error of the float routes, not a
+        usage error. A sequence whose floats are exact in closed form (the
+        floats argument) gives them as one array; the others round each
+        term as term_float does, since numpy's pow can differ from Python's
+        by an ulp."""
+        if self._floats is not None:
+            with np.errstate(over="ignore"):
+                arr = self._floats(start, n)
+        else:
+            tf = self._term_float or (lambda k: float(self.term(k)))
+            try:
+                arr = np.array([tf(k) for k in range(start + 1, n + 1)], dtype=float)
+            except OverflowError:
+                raise MeanDomainError(
+                    f"{self.descriptor}: terms overflow float range before n={n}") from None
         if not np.all(np.isfinite(arr)):
             raise MeanDomainError(f"{self.descriptor}: terms overflow float range before n={n}")
         if not np.all(arr > 0):
@@ -163,6 +175,7 @@ def as_float(w: WeightSeq) -> WeightSeq:
         sum_diverges=w.sum_diverges,
         divergence_reason=w.divergence_reason,
         term_float=tf,
+        floats=w._floats,
     )
 
 
@@ -177,9 +190,16 @@ def _geometric(desc: str, q: Number, qf: float) -> WeightSeq:
     Partial sums are n q at q = 1 and a (b^n - a^n) / (b^n (b - a))
     otherwise; below 1 the tail beyond n is a^(n+1) / (b^n (b - a)). Each
     is one Fraction of two integers (an int at q = 1). The first N terms
-    are the masses a^n b^(N-n) over b^N.
+    are the masses a^n b^(N-n) over b^N. Their floats are 1.0 at q = 1
+    and 2^(kn) through np.ldexp at q = 2^k, exactly as qf ** n rounds.
     """
     a, b = q.numerator, q.denominator
+    floats = None
+    if a == b:
+        floats = lambda lo, hi: np.ones(hi - lo)
+    elif (a * b) & (a * b - 1) == 0 and qf == q:  # q = 2^k, and qf is q
+        k = a.bit_length() - b.bit_length()
+        floats = lambda lo, hi: np.ldexp(1.0, k * np.arange(lo + 1, hi + 1))
 
     def psum(n):
         if a == b:
@@ -204,7 +224,8 @@ def _geometric(desc: str, q: Number, qf: float) -> WeightSeq:
         sum_diverges=not converges,
         divergence_reason=f"geometric with ratio {format_number(q)} "
                           f"{'<' if converges else '>='} 1",
-        term_float=lambda n: qf ** n)
+        term_float=lambda n: qf ** n,
+        floats=floats)
 
 
 def make_sequence(spec: str) -> WeightSeq:
@@ -265,6 +286,12 @@ def make_sequence(spec: str) -> WeightSeq:
                 return Fraction(1, 2 ** n)
             return Fraction(2 ** (_k - n) + 2 ** _k - 1, 2 ** _k)
 
+        def floats(lo, hi, _k=k):
+            out = np.ldexp(1.0, -np.arange(lo + 1, hi + 1))
+            if lo < _k <= hi:
+                out[_k - 1 - lo] = 1.0
+            return out
+
         return WeightSeq(
             f"perturbed-dyadic:{k}", term,
             partial_sum=psum,
@@ -272,7 +299,8 @@ def make_sequence(spec: str) -> WeightSeq:
             tail_bound=tail,
             sum_diverges=False,
             divergence_reason="dyadic with a single bumped term",
-            term_float=lambda n, _k=k: 1.0 if n == _k else math.ldexp(1.0, -n))
+            term_float=lambda n, _k=k: 1.0 if n == _k else math.ldexp(1.0, -n),
+            floats=floats)
 
     if head == "power" and sep:
         alpha = parse_number(arg)
@@ -373,8 +401,7 @@ def term_ratios(w: WeightSeq, N: int) -> List[Fraction]:
     return [Fraction(m, M) for m, M in term_ratio_pairs(w, N)]
 
 
-def ratio_diagnostics(w: WeightSeq, N: int, *,
-                      floats: Optional[np.ndarray] = None) -> RatioReport:
+def ratio_diagnostics(w: WeightSeq, N: int) -> RatioReport:
     """Ratios term(n)/partial_sum(n) for n <= N, their monotonicity, the
     max-term ratio max(term_1..term_N)/partial_sum(N), and a divergence
     verdict.
@@ -382,8 +409,7 @@ def ratio_diagnostics(w: WeightSeq, N: int, *,
     The verdict comes from closed-form knowledge carried by the sequence;
     a finite prefix cannot decide divergence, so sequences without that
     knowledge report "inconclusive". Ratios always sit in (0, 1] and the
-    first one equals 1. floats, when given, is w.terms_floats(N), which
-    the float path then does not build again.
+    first one equals 1.
 
     The exact path works on the integer masses: each ratio m_n / M_n and
     the max-term ratio are int / int, correctly rounded as float(Fraction)
@@ -400,7 +426,7 @@ def ratio_diagnostics(w: WeightSeq, N: int, *,
         psum_n = Fraction(total, d)
         max_ratio = max(masses) / total
     else:
-        arr = w.terms_floats(N) if floats is None else floats
+        arr = w.terms_floats(N)
         sums = np.cumsum(arr)
         rarr = arr / sums
         noninc = bool(np.all(rarr[:-1] >= rarr[1:]))

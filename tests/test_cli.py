@@ -136,8 +136,10 @@ class TestEstimate:
                            "--mean", "power:0", "--N", "2000",
                            "--format", "json")
         assert code == 0
-        rep = json.loads(out)["report"]
-        assert rep["value"] == pytest.approx(2.711875018209425, rel=1e-12)
+        doc = json.loads(out)
+        assert doc["report"]["value"] == pytest.approx(2.711875018209425, rel=1e-12)
+        # the route runs on unit weights, and the config says so
+        assert doc["config"]["weights"] == doc["report"]["weights"] == "ones"
 
     def test_kedlaya_refuses_convergent_weights(self, capsys):
         code, _, err = run(capsys, "estimate", "--method", "kedlaya",
@@ -428,6 +430,13 @@ class TestPlumbing:
          "--q", "1/2"),
         ("estimate", "--method", "kedlaya", "--mean", "power:0", "--weights", "ones",
          "--N", "100", "--window", "1/2"),
+        # the unweighted limit reads no weights, so neither option applies
+        ("estimate", "--method", "nonweighted-limit", "--mean", "power:0",
+         "--weights", "dyadic", "--N", "40"),
+        ("estimate", "--method", "nonweighted-limit", "--mean", "power:0",
+         "--weights", "ones", "--N", "40"),
+        ("estimate", "--method", "nonweighted-limit", "--mean", "power:0",
+         "--N", "40", "--float"),
         # --float only where number literals are read
         ("verify", "axioms", "--mean", "power:1/2", "--trials", "2", "--float"),
         ("verify", "cut", "--weights", "geometric:1/2", "--blocks", "2,3,1", "--float"),

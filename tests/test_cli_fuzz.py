@@ -67,7 +67,6 @@ FLOAT_COMMANDS = st.one_of(
     _cmd(("estimate", "--method", "finite"), MEAN, WEIGHT, N,
          _opt("--starts", count), SEED),
     _cmd(("estimate", "--method", "kedlaya"), MEAN, WEIGHT, N),
-    _cmd(("estimate", "--method", "nonweighted-limit"), MEAN, N),
     _cmd(("verify", "jcin"), MEAN,
          st.one_of(_cmd(_one("--x", st.sampled_from(LISTS)),
                         _one("--w", st.sampled_from(LISTS))),
@@ -86,6 +85,8 @@ PLAIN_COMMANDS = st.one_of(
     _cmd(("verify", "cut"), MEAN, WEIGHT, _one("--blocks", st.sampled_from(BLOCKS)),
          _opt("--N", count)),
     _cmd(("verify", "lsc-example"), _one("--kmax", st.sampled_from(["1", "3", "0"])), N),
+    # it reads no weights, the only literals --float steers on estimate
+    _cmd(("estimate", "--method", "nonweighted-limit"), MEAN, N),
 )
 FORMAT = st.sampled_from(["json", "json", "csv", "text"]).map(lambda f: ["--format", f])
 ARGVS = st.one_of(

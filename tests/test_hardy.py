@@ -11,7 +11,7 @@ from hardylab.hardy import (HypothesisViolation, InconclusiveError,
                             arithmetic_hardy, copson_constant,
                             finite_lower_bound, kedlaya_estimate,
                             kedlaya_sequence, unweighted_limit)
-from hardylab.kernel import MeanDomainError, MeanFlags, evaluate
+from hardylab.kernel import MeanDomainError, MeanFlags, MeanSpec, evaluate
 from hardylab.search import OptimizerConfig
 from hardylab.weights import (WeightSeq, make_sequence, random_rational_sequence,
                              ratio_diagnostics, term_ratios)
@@ -321,6 +321,141 @@ class TestUnweightedLimit:
     def test_small_sizes_rejected(self):
         with pytest.raises(ValueError):
             unweighted_limit(power(0), 2)
+
+
+BLOCK = 1 << 16
+STREAM_SIZES = [4, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+# a mean of every regime the streamed routes carry from block to block
+STREAM_MEANS = {
+    "geometric": power(0),
+    "near-geometric": power(1e-3),
+    "raw": power(-3),
+    "log": power(-40),
+    "min": power(-math.inf),
+    "max": power(math.inf),
+    "generator": quasiarithmetic(make_generator("softplus", np.log1p, np.expm1)),
+}
+OPAQUE = MeanSpec(family="custom", params=None, flags=MeanFlags(),
+                  fn=lambda x, lam: sum(l * v for v, l in zip(x, lam)) / sum(lam),
+                  name="opaque-arith")
+
+
+def one_block_stats(a):
+    """The trailing-window minimum, divergence flag and drift of a whole
+    substitution sequence, as the routes reported them before streaming."""
+    n = len(a)
+    start = max(1, int(math.ceil(hardy.STEADY_WINDOW * n))) - 1
+    drift = float(a[-1] - a[n // 2 - 1])
+    return float(np.min(a[start:])), drift > hardy.DIVERGENCE_DRIFT, drift
+
+
+def assert_streams_like_one_block(mean, lam, N, ys):
+    rows, nonincreasing = hardy._substitution_stats(mean, lam, N, ys, ratios=True)
+    assert nonincreasing
+    for y, row in zip(ys, rows):
+        a = kedlaya_sequence(mean, lam, y, N)
+        assert row.finite == bool(np.all(np.isfinite(a)))
+        assert row.last.tobytes() == a[-1].tobytes()
+        assert row.at_half.tobytes() == a[N // 2 - 1].tobytes()
+        got, want = row.stats(), one_block_stats(a)
+        assert np.array_equal(got, want, equal_nan=True), (y, got, want)
+
+
+class TestStreamedSubstitution:
+    """The substitution routes stream their terms in blocks of 2^16 and
+    carry the running sums across; they must report what one pass over
+    the whole sequence reports, bit for bit."""
+
+    def test_block_size_is_the_module_constant(self):
+        assert hardy._BLOCK == BLOCK
+
+    @pytest.mark.parametrize("N", STREAM_SIZES)
+    @pytest.mark.parametrize("regime", sorted(set(STREAM_MEANS) - {"generator"}))
+    def test_power_regimes_match_one_block(self, regime, N):
+        for desc in ("ones", "power:-1/2"):
+            assert_streams_like_one_block(STREAM_MEANS[regime], make_sequence(desc), N, (1.0,))
+
+    @pytest.mark.parametrize("N", STREAM_SIZES)
+    def test_generator_over_the_y_grid_matches_one_block(self, N):
+        assert_streams_like_one_block(STREAM_MEANS["generator"], make_sequence("ones"), N,
+                                      hardy.DEFAULT_Y_GRID)
+
+    @pytest.mark.parametrize("N", [4, 5, 40])
+    def test_opaque_mean_runs_as_one_block(self, N, monkeypatch):
+        # direct evaluation has no running state to carry
+        monkeypatch.setattr(hardy, "_BLOCK", 3)
+        assert_streams_like_one_block(OPAQUE, make_sequence("power:-1/2"), N, (0.5, 1.0))
+
+    @pytest.mark.parametrize("mean", [power(0.5), power(-40), power(math.inf),
+                                      STREAM_MEANS["generator"]], ids=lambda m: m.name)
+    def test_small_blocks_give_the_same_reports(self, mean, monkeypatch):
+        lam = make_sequence("power:-1/2")
+        want = (kedlaya_estimate(mean, lam, 50).to_json(), unweighted_limit(mean, 50).to_json())
+        for block in (1, 2, 7, 25, 49):
+            monkeypatch.setattr(hardy, "_BLOCK", block)
+            got = (kedlaya_estimate(mean, lam, 50).to_json(), unweighted_limit(mean, 50).to_json())
+            assert got == want, block
+
+    def test_overflowed_rows_stay_marked_across_blocks(self, monkeypatch):
+        expo = quasiarithmetic(make_generator("log", np.exp, np.log))
+        want = kedlaya_estimate(expo, make_sequence("ones"), 2000).to_json()
+        monkeypatch.setattr(hardy, "_BLOCK", 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kedlaya_estimate(expo, make_sequence("ones"), 2000).to_json()
+        assert got == want
+        assert got["diagnostics"]["per_y"][-1] == {"y": 1024.0, "finite": False}
+
+    @pytest.mark.parametrize("N", [4, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("p", [0.5, 0, -3, -math.inf])
+    def test_unweighted_limit_is_the_kedlaya_reducer_on_ones_at_y_1(self, p, N):
+        est = unweighted_limit(power(p), N)
+        (row,), _ = hardy._substitution_stats(power(p), make_sequence("ones"), N, (1.0,))
+        steady, trend, drift = row.stats()
+        assert est.value == float(row.last)
+        assert est.diagnostics == {"half_value": float(row.at_half), "drift": drift,
+                                   "divergent_trend": trend, "steady_min": steady}
+        a = kedlaya_sequence(power(p), make_sequence("ones"), 1.0, N)
+        assert est.value == float(a[-1])
+
+    @pytest.mark.parametrize("bump", [BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2])
+    def test_float_ratio_check_sees_a_bump_at_any_block_edge(self, bump):
+        # a raised term makes its ratio w_n / W_n rise; the streamed check
+        # compares across the edge of a block as the one-pass check does
+        lam = WeightSeq("bumped-ones", lambda n: 2.0 if n == bump else 1.0,
+                        sum_diverges=True)
+        N = BLOCK + 8
+        assert not ratio_diagnostics(lam, N).is_nonincreasing
+        with pytest.raises(HypothesisViolation, match="nonincreasing"):
+            kedlaya_estimate(power(0), lam, N)
+        assert kedlaya_estimate(power(0), lam, bump - 1).N == bump - 1
+
+    def test_a_float_overflow_raises_before_a_ratio_violation(self, monkeypatch):
+        # the ratios rise at n = 3 and 2^n overflows at n = 1024, blocks
+        # later; read whole, the terms raised before the ratios were
+        # checked, and they still do
+        lam = WeightSeq("late-overflow", lambda n: 100.0 if n == 3 else 2.0 ** n,
+                        sum_diverges=True)
+        monkeypatch.setattr(hardy, "_BLOCK", 100)
+        with pytest.raises(MeanDomainError, match="overflow"):
+            kedlaya_estimate(power(0), lam, 2000)
+        with pytest.raises(HypothesisViolation, match="nonincreasing"):
+            kedlaya_estimate(power(0), lam, 1000)
+
+    @pytest.mark.parametrize("route", ["limit", "kedlaya"])
+    def test_memory_stays_bounded_at_a_million_terms(self, route):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            if route == "limit":
+                unweighted_limit(power(0), 10 ** 6)
+            else:
+                kedlaya_estimate(power(0), make_sequence("ones"), 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one pass over whole arrays peaked at 48.0 MB and 88.0 MB
+        assert peak <= 8 * 10 ** 6, peak
 
 
 class TestEstimateSerialization:

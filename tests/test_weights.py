@@ -2,11 +2,13 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylab import weights
+from hardylab.kernel import MeanDomainError
 from hardylab.weights import (WeightSeq, as_float, coarsen, is_coarsening_of,
                               make_sequence, random_rational_sequence,
                               ratio_diagnostics, term_ratio_pairs, term_ratios)
@@ -170,6 +172,42 @@ class TestFloatViews:
         s = make_sequence("geometric:1/3")
         exact = [float(s.partial_sum(n)) for n in range(1, 21)]
         assert list(s.partial_sums_floats(20)) == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("desc,top", [
+        ("ones", 3000), ("dyadic", 1074), ("geometric:2", 1023), ("geometric:1/4", 537),
+        ("geometric:1024", 102), ("perturbed-dyadic:3", 1074), ("perturbed-dyadic:700", 1074)])
+    def test_closed_form_floats_are_the_per_term_floats(self, desc, top):
+        # ones and powers of two come from np.ones and np.ldexp, and must
+        # round as the per-term floats do, up to the last term in range
+        # (a subnormal for the falling sequences)
+        seq = make_sequence(desc)
+        assert seq._floats is not None
+        want = np.array([seq._term_float(k) for k in range(1, top + 1)])
+        for start in (0, 1, 2, top // 2, top - 1):
+            got = seq.terms_floats(top, start)
+            assert got.tobytes() == want[start:].tobytes(), start
+        assert as_float(seq).terms_floats(top).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("desc,n,fault", [
+        ("geometric:2", 1024, "overflow"), ("geometric:1024", 103, "overflow"),
+        ("dyadic", 1075, "underflow"), ("geometric:1/4", 538, "underflow"),
+        ("perturbed-dyadic:2", 1075, "underflow")])
+    def test_closed_form_floats_leave_the_float_range_where_the_terms_do(self, desc, n, fault):
+        seq = make_sequence(desc)
+        if fault == "overflow":
+            with pytest.raises(OverflowError):
+                seq._term_float(n)
+        else:
+            assert seq._term_float(n) == 0.0
+        assert np.all(seq.terms_floats(n - 1, n - 5) > 0)
+        with pytest.raises(MeanDomainError, match=fault):
+            seq.terms_floats(n, n - 5)
+
+    @pytest.mark.parametrize("desc", ["geometric:3/4", "geometric:3", "power:-1/2", "power:2"])
+    def test_other_families_keep_per_term_floats(self, desc):
+        seq = make_sequence(desc)
+        assert seq._floats is None
+        assert seq.terms_floats(40, 17).tolist() == [seq._term_float(k) for k in range(18, 41)]
 
 
 class TestCache:
