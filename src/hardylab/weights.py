@@ -49,9 +49,9 @@ class WeightSeq:
     masses(N) likewise uses a supplied closed form, and otherwise the
     integer masses of the first N terms. tail_bound(n) bounds the mass
     beyond n, which certifies convergence; sum_diverges records
-    closed-form divergence knowledge (None=unknown). floats(start, n), where
-    supplied, gives the floats of terms start+1..n as one array, for
-    families whose floats it computes exactly (see terms_floats).
+    closed-form divergence knowledge (None=unknown). floats(start, stop),
+    where supplied, gives the floats of terms start+1..stop as one array, exactly
+    as term_float rounds them (see terms_floats).
     """
 
     def __init__(self, descriptor: str, term: Callable[[int], Number], *,
@@ -134,20 +134,21 @@ class WeightSeq:
 
     # -- float views for array computations ----------------------------------
 
-    def terms_floats(self, n: int, start: int = 0) -> np.ndarray:
-        """Terms start+1..n as floats, the first n by default; terms that
-        leave the float range are a domain error of the float routes, not a
-        usage error. A sequence whose floats are exact in closed form (the
-        floats argument) gives them as one array; the others round each
-        term as term_float does, since numpy's pow can differ from Python's
-        by an ulp."""
+    def terms_floats(self, n: int, start: int = 0,
+                     stop: Optional[int] = None) -> np.ndarray:
+        """Terms start+1..stop of the first n as floats, all n by default;
+        terms that leave the float range are a domain error of the float
+        routes, not a usage error, reported against n whichever block is
+        read. A sequence with a closed form for its floats (the floats
+        argument) gives them as one array; the others round each term as
+        term_float does."""
+        stop = n if stop is None else stop
         if self._floats is not None:
-            with np.errstate(over="ignore"):
-                arr = self._floats(start, n)
+            arr = self._floats(start, stop)
         else:
             tf = self._term_float or (lambda k: float(self.term(k)))
             try:
-                arr = np.array([tf(k) for k in range(start + 1, n + 1)], dtype=float)
+                arr = np.array([tf(k) for k in range(start + 1, stop + 1)], dtype=float)
             except OverflowError:
                 raise MeanDomainError(
                     f"{self.descriptor}: terms overflow float range before n={n}") from None
@@ -190,16 +191,11 @@ def _geometric(desc: str, q: Number, qf: float) -> WeightSeq:
     Partial sums are n q at q = 1 and a (b^n - a^n) / (b^n (b - a))
     otherwise; below 1 the tail beyond n is a^(n+1) / (b^n (b - a)). Each
     is one Fraction of two integers (an int at q = 1). The first N terms
-    are the masses a^n b^(N-n) over b^N. Their floats are 1.0 at q = 1
-    and 2^(kn) through np.ldexp at q = 2^k, exactly as qf ** n rounds.
+    are the masses a^n b^(N-n) over b^N. At q = 1 their floats are one
+    np.ones block.
     """
     a, b = q.numerator, q.denominator
-    floats = None
-    if a == b:
-        floats = lambda lo, hi: np.ones(hi - lo)
-    elif (a * b) & (a * b - 1) == 0 and qf == q:  # q = 2^k, and qf is q
-        k = a.bit_length() - b.bit_length()
-        floats = lambda lo, hi: np.ldexp(1.0, k * np.arange(lo + 1, hi + 1))
+    floats = (lambda lo, hi: np.ones(hi - lo)) if a == b else None
 
     def psum(n):
         if a == b:
@@ -286,12 +282,6 @@ def make_sequence(spec: str) -> WeightSeq:
                 return Fraction(1, 2 ** n)
             return Fraction(2 ** (_k - n) + 2 ** _k - 1, 2 ** _k)
 
-        def floats(lo, hi, _k=k):
-            out = np.ldexp(1.0, -np.arange(lo + 1, hi + 1))
-            if lo < _k <= hi:
-                out[_k - 1 - lo] = 1.0
-            return out
-
         return WeightSeq(
             f"perturbed-dyadic:{k}", term,
             partial_sum=psum,
@@ -299,8 +289,7 @@ def make_sequence(spec: str) -> WeightSeq:
             tail_bound=tail,
             sum_diverges=False,
             divergence_reason="dyadic with a single bumped term",
-            term_float=lambda n, _k=k: 1.0 if n == _k else math.ldexp(1.0, -n),
-            floats=floats)
+            term_float=lambda n, _k=k: 1.0 if n == _k else math.ldexp(1.0, -n))
 
     if head == "power" and sep:
         alpha = parse_number(arg)

@@ -323,7 +323,7 @@ class TestUnweightedLimit:
             unweighted_limit(power(0), 2)
 
 
-BLOCK = 1 << 16
+BLOCK = hardy._BLOCK
 STREAM_SIZES = [4, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
 # a mean of every regime the streamed routes carry from block to block
 STREAM_MEANS = {
@@ -350,7 +350,7 @@ def one_block_stats(a):
 
 
 def assert_streams_like_one_block(mean, lam, N, ys):
-    rows, nonincreasing = hardy._substitution_stats(mean, lam, N, ys, ratios=True)
+    rows, nonincreasing = hardy._substitution_stats(mean, lam, N, ys)
     assert nonincreasing
     for y, row in zip(ys, rows):
         a = kedlaya_sequence(mean, lam, y, N)
@@ -365,9 +365,6 @@ class TestStreamedSubstitution:
     """The substitution routes stream their terms in blocks of 2^16 and
     carry the running sums across; they must report what one pass over
     the whole sequence reports, bit for bit."""
-
-    def test_block_size_is_the_module_constant(self):
-        assert hardy._BLOCK == BLOCK
 
     @pytest.mark.parametrize("N", STREAM_SIZES)
     @pytest.mark.parametrize("regime", sorted(set(STREAM_MEANS) - {"generator"}))
@@ -430,6 +427,19 @@ class TestStreamedSubstitution:
             kedlaya_estimate(power(0), lam, N)
         assert kedlaya_estimate(power(0), lam, bump - 1).N == bump - 1
 
+    def test_exact_ratios_decide_where_their_floats_rise(self, monkeypatch):
+        # geometric:3/2's exact ratios fall toward 1/3; their floats stall
+        # there and rise by an ulp, which must not cut the means short
+        lam = make_sequence("geometric:3/2")
+        w = lam.terms_floats(200)
+        r = w / np.cumsum(w)
+        assert ratio_diagnostics(lam, 200).is_nonincreasing
+        assert not np.all(r[:-1] >= r[1:])
+        monkeypatch.setattr(hardy, "_BLOCK", 16)
+        row = kedlaya_estimate(power(0), lam, 200).diagnostics["per_y"][0]
+        steady, trend, drift = one_block_stats(kedlaya_sequence(power(0), lam, 1.0, 200))
+        assert (row["steady"], row["divergent_trend"], row["drift"]) == (steady, trend, drift)
+
     def test_a_float_overflow_raises_before_a_ratio_violation(self, monkeypatch):
         # the ratios rise at n = 3 and 2^n overflows at n = 1024, blocks
         # later; read whole, the terms raised before the ratios were
@@ -437,7 +447,7 @@ class TestStreamedSubstitution:
         lam = WeightSeq("late-overflow", lambda n: 100.0 if n == 3 else 2.0 ** n,
                         sum_diverges=True)
         monkeypatch.setattr(hardy, "_BLOCK", 100)
-        with pytest.raises(MeanDomainError, match="overflow"):
+        with pytest.raises(MeanDomainError, match="overflow float range before n=2000$"):
             kedlaya_estimate(power(0), lam, 2000)
         with pytest.raises(HypothesisViolation, match="nonincreasing"):
             kedlaya_estimate(power(0), lam, 1000)

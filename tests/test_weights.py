@@ -173,26 +173,17 @@ class TestFloatViews:
         exact = [float(s.partial_sum(n)) for n in range(1, 21)]
         assert list(s.partial_sums_floats(20)) == pytest.approx(exact, rel=1e-14)
 
-    @pytest.mark.parametrize("desc,top", [
-        ("ones", 3000), ("dyadic", 1074), ("geometric:2", 1023), ("geometric:1/4", 537),
-        ("geometric:1024", 102), ("perturbed-dyadic:3", 1074), ("perturbed-dyadic:700", 1074)])
-    def test_closed_form_floats_are_the_per_term_floats(self, desc, top):
-        # ones and powers of two come from np.ones and np.ldexp, and must
-        # round as the per-term floats do, up to the last term in range
-        # (a subnormal for the falling sequences)
-        seq = make_sequence(desc)
+    def test_ones_floats_come_in_one_block(self):
+        seq = make_sequence("ones")
         assert seq._floats is not None
-        want = np.array([seq._term_float(k) for k in range(1, top + 1)])
-        for start in (0, 1, 2, top // 2, top - 1):
-            got = seq.terms_floats(top, start)
-            assert got.tobytes() == want[start:].tobytes(), start
-        assert as_float(seq).terms_floats(top).tobytes() == want.tobytes()
+        for start in (0, 1, 2, 1500, 2999):
+            assert seq.terms_floats(4000, start, 3000).tolist() == [1.0] * (3000 - start)
+        assert as_float(seq).terms_floats(3000).tolist() == [1.0] * 3000
 
-    @pytest.mark.parametrize("desc,n,fault", [
-        ("geometric:2", 1024, "overflow"), ("geometric:1024", 103, "overflow"),
-        ("dyadic", 1075, "underflow"), ("geometric:1/4", 538, "underflow"),
-        ("perturbed-dyadic:2", 1075, "underflow")])
-    def test_closed_form_floats_leave_the_float_range_where_the_terms_do(self, desc, n, fault):
+    @pytest.mark.parametrize("desc,n,fault", [("geometric:2", 1024, "overflow"),
+                                              ("dyadic", 1075, "underflow")])
+    def test_ranged_floats_leave_the_float_range_where_the_terms_do(self, desc, n, fault):
+        # a block read from start raises where reading from 1 does
         seq = make_sequence(desc)
         if fault == "overflow":
             with pytest.raises(OverflowError):
@@ -202,12 +193,17 @@ class TestFloatViews:
         assert np.all(seq.terms_floats(n - 1, n - 5) > 0)
         with pytest.raises(MeanDomainError, match=fault):
             seq.terms_floats(n, n - 5)
+        # the message names the prefix being read, not the block's end
+        with pytest.raises(MeanDomainError, match=f"{fault}.* before n={2 * n}$"):
+            seq.terms_floats(2 * n, n - 5, n)
 
-    @pytest.mark.parametrize("desc", ["geometric:3/4", "geometric:3", "power:-1/2", "power:2"])
+    @pytest.mark.parametrize("desc", ["dyadic", "geometric:2", "perturbed-dyadic:3",
+                                      "geometric:3/4", "geometric:3", "power:-1/2", "power:2"])
     def test_other_families_keep_per_term_floats(self, desc):
         seq = make_sequence(desc)
         assert seq._floats is None
         assert seq.terms_floats(40, 17).tolist() == [seq._term_float(k) for k in range(18, 41)]
+        assert seq.terms_floats(60, 17, 40).tolist() == seq.terms_floats(40, 17).tolist()
 
 
 class TestCache:
