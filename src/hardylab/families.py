@@ -50,17 +50,17 @@ def _normalized_weights(entries: tuple) -> list:
     that rescaling the weight vector cancels exactly.
 
     Rational entries become integer masses m_i over one common denominator
-    (scalars.integer_masses), and weight i is m_i / sum(m): CPython's
-    int / int is correctly rounded, as is float(Fraction), so each weight
-    equals float(Fraction(e) / sum(entries)) bit for bit, without a
-    Fraction operation per entry.
+    (scalars.integer_masses; Python ints are their own masses), and weight
+    i is m_i / sum(m): CPython's int / int is correctly rounded, as is
+    float(Fraction), so each weight equals float(Fraction(e) / sum(entries))
+    bit for bit, without a Fraction operation per entry.
     """
-    if all_exact(entries):
-        masses, _ = integer_masses(entries)
-        total = sum(masses)
-        return [m / total for m in masses]
-    ft = float(sum(entries))
-    return [float(e) / ft for e in entries]
+    if not all_exact(entries):
+        ft = float(sum(entries))
+        return [float(e) / ft for e in entries]
+    masses = entries if all(type(e) is int for e in entries) else integer_masses(entries)[0]
+    total = sum(masses)
+    return [m / total for m in masses]
 
 
 def power_mean(p: float, x, w) -> float:
@@ -76,13 +76,12 @@ def power_mean(p: float, x, w) -> float:
     return evaluate(power(p), x, w)
 
 
-def _power_mean(p: float, xs: tuple, nw: list) -> float:
-    """The arithmetic of power(p), whose float order p is not NaN, on
-    checked points with normalized weights."""
+def _power_mean(p: float, regime: str, xs: tuple, nw: list) -> float:
+    """The arithmetic of power(p) (float order p, not NaN, of regime
+    order_regime(p)) on checked points with normalized weights."""
     lo, hi = min(xs), max(xs)
     if lo == hi:
         return lo
-    regime = order_regime(p)
     if regime == "max":
         return hi
     if regime == "min":
@@ -122,11 +121,12 @@ def power(p: float, flags: Optional[MeanFlags] = None) -> MeanSpec:
             homogeneous=True,
             continuous_in_weights=math.isfinite(p),
         )
+    regime = order_regime(p)  # once per spec, not once per evaluation
     return MeanSpec(
         family="power",
         params=p,
         flags=flags,
-        fn=lambda xs, ws: _power_mean(p, xs, _normalized_weights(ws)),
+        fn=lambda xs, ws: _power_mean(p, regime, xs, _normalized_weights(ws)),
         name=f"power:{format_number(p)}",
     )
 

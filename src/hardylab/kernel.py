@@ -278,26 +278,26 @@ def _rel_gap(a: float, b: float) -> float:
 
 
 # Each measure maps (mean, witness, tol) -> violation magnitude (0 = pass),
-# so a stored witness replays to the same number.
+# so a stored witness replays to the same number; check_axioms also hands
+# in base = M(x, w) of the trial, which a replay recomputes.
 
 
-def _measure_nullhomogeneity(mean, wit, tol):
-    base = evaluate(mean, wit["x"], wit["w"])
+def _measure_nullhomogeneity(mean, wit, tol, base=None):
+    base = evaluate(mean, wit["x"], wit["w"]) if base is None else base
     scaled = evaluate(mean, wit["x"], [wit["t"] * v for v in wit["w"]])
-    gap = _rel_gap(base, scaled)
-    return max(0.0, gap - tol)
+    return max(0.0, _rel_gap(base, scaled) - tol)
 
 
-def _measure_reduction(mean, wit, tol):
+def _measure_reduction(mean, wit, tol, base=None):
     x, lam, mu = wit["x"], wit["lam"], wit["mu"]
     joint = evaluate(mean, x, [a + b for a, b in zip(lam, mu)])
     split = evaluate(mean, shuffle(x, x), shuffle(lam, mu))
     return max(0.0, _rel_gap(joint, split) - tol)
 
 
-def _measure_mean_value(mean, wit, tol):
+def _measure_mean_value(mean, wit, tol, base=None):
     x = wit["x"]
-    m = evaluate(mean, x, wit["w"])
+    m = evaluate(mean, x, wit["w"]) if base is None else base
     lo, hi = min(x), max(x)
     overshoot = max(lo - m, m - hi, 0.0)
     return max(0.0, overshoot / max(hi, 1e-300) - tol)
@@ -307,9 +307,9 @@ def _measure_mean_value(mean, wit, tol):
 _ELIMINATION_RUNGS = tuple(float(f"1e-{k}") for k in range(12, 301, 3))
 
 
-def _measure_elimination(mean, wit, tol):
+def _measure_elimination(mean, wit, tol, base=None):
     x, w, z = wit["x"], wit["w"], wit["z"]
-    base = evaluate(mean, x, w)
+    base = evaluate(mean, x, w) if base is None else base
 
     def gap(eps):
         return _rel_gap(base, evaluate(mean, list(x) + [z], list(w) + [eps]))
@@ -326,16 +326,16 @@ def _measure_elimination(mean, wit, tol):
     return max(0.0, first - 1e-2, second - max(0.1 * first, 100 * tol))
 
 
-def _measure_symmetric(mean, wit, tol):
+def _measure_symmetric(mean, wit, tol, base=None):
     x, w, perm = wit["x"], wit["w"], wit["perm"]
-    base = evaluate(mean, x, w)
+    base = evaluate(mean, x, w) if base is None else base
     permuted = evaluate(mean, [x[i] for i in perm], [w[i] for i in perm])
     return max(0.0, _rel_gap(base, permuted) - tol)
 
 
-def _measure_monotone(mean, wit, tol):
+def _measure_monotone(mean, wit, tol, base=None):
     x, w, j, delta = wit["x"], wit["w"], wit["j"], wit["delta"]
-    base = evaluate(mean, x, w)
+    base = evaluate(mean, x, w) if base is None else base
     bumped = list(x)
     bumped[j] += delta
     after = evaluate(mean, bumped, w)
@@ -343,17 +343,18 @@ def _measure_monotone(mean, wit, tol):
     return max(0.0, drop - tol)
 
 
-def _measure_concave(mean, wit, tol):
+def _measure_concave(mean, wit, tol, base=None):
     x, y, w = wit["x"], wit["y"], wit["w"]
     mid = evaluate(mean, [(a + b) / 2 for a, b in zip(x, y)], w)
-    avg = (evaluate(mean, x, w) + evaluate(mean, y, w)) / 2
+    base = evaluate(mean, x, w) if base is None else base
+    avg = (base + evaluate(mean, y, w)) / 2
     gap = (avg - mid) / max(abs(avg), 1e-300)
     return max(0.0, gap - tol)
 
 
-def _measure_homogeneous(mean, wit, tol):
+def _measure_homogeneous(mean, wit, tol, base=None):
     x, w, t = wit["x"], wit["w"], wit["t"]
-    base = evaluate(mean, x, w)
+    base = evaluate(mean, x, w) if base is None else base
     scaled = evaluate(mean, [t * v for v in x], w)
     return max(0.0, _rel_gap(t * base, scaled) - tol)
 
@@ -383,39 +384,30 @@ _BUMP_LOGS = (math.log(0.01), math.log(5.0))
 
 
 def _rand_positive(rng, logs=_ENTRY_LOGS):
-    return math.exp(rng.uniform(*logs))
+    return math.exp(logs[0] + (logs[1] - logs[0]) * rng.random())  # rng.uniform(*logs), inlined
 
 
-def _rand_instance(rng):
+def _draw_instance(rng):
+    """One random instance: points x, weights w and every axiom's witness
+    (x and w, with reduction's lam being w, plus that axiom's own inputs),
+    drawn in one fixed order whatever the mean claims."""
     n = rng.randint(1, 6)
-    x = [_rand_positive(rng) for _ in range(n)]
-    w = [_rand_positive(rng) for _ in range(n)]
-    return x, w
-
-
-def _make_witness(axiom, rng):
-    if axiom == "reduction":
-        x, lam = _rand_instance(rng)
-        mu = [_rand_positive(rng) for _ in lam]
-        return {"x": x, "lam": lam, "mu": mu}
-    x, w = _rand_instance(rng)
-    wit = {"x": x, "w": w}
-    if axiom == "nullhomogeneity":
-        wit["t"] = _rand_positive(rng, _SCALE_LOGS)
-    elif axiom == "elimination":
-        wit["z"] = _rand_positive(rng)
-    elif axiom == "symmetric":
-        perm = list(range(len(x)))
-        rng.shuffle(perm)
-        wit["perm"] = perm
-    elif axiom == "monotone":
-        wit["j"] = rng.randrange(len(x))
-        wit["delta"] = _rand_positive(rng, _BUMP_LOGS)
-    elif axiom == "concave":
-        wit["y"] = [_rand_positive(rng) for _ in x]
-    elif axiom == "homogeneous":
-        wit["t"] = _rand_positive(rng, _SCALE_LOGS)
-    return wit
+    x, w, mu, y = ([_rand_positive(rng) for _ in range(n)] for _ in range(4))
+    t_null, t_hom = _rand_positive(rng, _SCALE_LOGS), _rand_positive(rng, _SCALE_LOGS)
+    z = _rand_positive(rng)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    j, delta = rng.randrange(n), _rand_positive(rng, _BUMP_LOGS)
+    return x, w, {
+        "nullhomogeneity": {"x": x, "w": w, "t": t_null},
+        "reduction": {"x": x, "lam": w, "mu": mu},
+        "mean_value": {"x": x, "w": w},
+        "elimination": {"x": x, "w": w, "z": z},
+        "symmetric": {"x": x, "w": w, "perm": perm},
+        "monotone": {"x": x, "w": w, "j": j, "delta": delta},
+        "concave": {"x": x, "w": w, "y": y},
+        "homogeneous": {"x": x, "w": w, "t": t_hom},
+    }
 
 
 def check_axioms(mean: MeanSpec, trials: int = 200, seed: int = 0,
@@ -428,30 +420,32 @@ def check_axioms(mean: MeanSpec, trials: int = 200, seed: int = 0,
     declared continuous in the weights; min/max-type means jump when a
     new extremum enters with arbitrarily small weight. Claimed flags run
     their own randomized checks; unclaimed flags are recorded as skipped.
+
+    Each trial draws one instance from the single stream
+    random.Random(f"axioms:{seed}") and evaluates M(x, w) once for every
+    check that runs; the witnesses of a failing mean thus differ from those
+    of earlier versions, which drew one stream per check.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     report = AxiomReport(mean_name=str(mean), tol=tol, seed=seed)
-    axioms = ["nullhomogeneity", "reduction", "mean_value", "elimination"]
-    flag_checks = ["symmetric", "monotone", "concave", "homogeneous"]
-    for name in axioms + flag_checks:
-        if name == "elimination" and not mean.flags.continuous_in_weights:
-            report.outcomes[name] = CheckOutcome(
-                name, 0, 0, 0.0, skipped="mean not declared continuous in weights")
-            continue
-        if name in flag_checks and not getattr(mean.flags, name):
-            report.outcomes[name] = CheckOutcome(name, 0, 0, 0.0, skipped="flag not claimed")
-            continue
-        rng = random.Random(f"axioms:{seed}:{name}")
-        failures = 0
-        worst = 0.0
-        worst_wit = None
-        for _ in range(trials):
-            wit = _make_witness(name, rng)
-            viol = _MEASURES[name](mean, wit, tol)
+    # a flag's check runs when the flag is claimed; the axioms are not flags
+    skipped = {name: "flag not claimed" for name in _MEASURES if not getattr(mean.flags, name, True)}
+    if not mean.flags.continuous_in_weights:
+        skipped["elimination"] = "mean not declared continuous in weights"
+    # failures, worst violation and its witness of each check that runs
+    tally = {name: [0, 0.0, None] for name in _MEASURES if name not in skipped}
+    rng = random.Random(f"axioms:{seed}")
+    for _ in range(trials):
+        x, w, witnesses = _draw_instance(rng)
+        base = evaluate(mean, x, w)
+        for name, counts in tally.items():
+            viol = _MEASURES[name](mean, witnesses[name], tol, base)
             if viol > 0:
-                failures += 1
-                if viol > worst:
-                    worst, worst_wit = viol, wit
-        report.outcomes[name] = CheckOutcome(name, trials, failures, worst, worst_wit)
+                counts[0] += 1
+                if viol > counts[1]:
+                    counts[1:] = viol, witnesses[name]
+    for name in _MEASURES:
+        report.outcomes[name] = (CheckOutcome(name, trials, *tally[name]) if name in tally
+                                 else CheckOutcome(name, 0, 0, 0.0, skipped=skipped[name]))
     return report

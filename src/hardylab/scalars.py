@@ -18,7 +18,10 @@ Number = Union[int, float, Fraction]
 
 def is_exact(value: Any) -> bool:
     """True for values that support exact rational arithmetic."""
-    return isinstance(value, Rational) and not isinstance(value, bool)
+    t = type(value)  # the common types decide without the slower ABC check
+    if t is int or t is Fraction or t is float:
+        return t is not float
+    return isinstance(value, Rational) and t is not bool
 
 
 def all_exact(values: Sequence) -> bool:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardylab import kernel
 from hardylab.kernel import (MeanFlags, MeanSpec, StepFunction, check_axioms,
                              evaluate, interval_mean, replay_axiom, shuffle,
                              step_profile)
@@ -24,6 +25,40 @@ small_lists = st.integers(min_value=1, max_value=6)
 
 def _corrupted(fn, name, flags=MeanFlags()):
     return MeanSpec(family="custom", params=None, flags=flags, fn=fn, name=name)
+
+
+def _plus_sumw(x, w):
+    # the arithmetic mean plus the weight total: not nullhomogeneous, and
+    # outside [min x, max x]
+    ws = [float(v) for v in w]
+    return sum(a * b for a, b in zip(x, ws)) / sum(ws) + sum(ws)
+
+
+def _position_skew(x, w):
+    # weights scaled by their position: breaks reduction and symmetry
+    ws = [float(v) * (i + 1) for i, v in enumerate(w)]
+    return sum(a * b for a, b in zip(x, ws)) / sum(ws)
+
+
+def _antitone(x, w):
+    # the harmonic mean, corrupted to decrease in x_0
+    ws = [float(v) for v in w]
+    harmonic = 1.0 / (sum(b / a for a, b in zip(x, ws)) / sum(ws))
+    return harmonic - 0.5 * float(x[0]) + 0.5 * min(x)
+
+
+# name -> (fn, claimed flags, trials, seed) of the corrupted means
+CORRUPTED = {
+    "+sumw": (_plus_sumw, MeanFlags(), 60, 0),
+    "skew": (_position_skew, MeanFlags(symmetric=True), 60, 0),
+    "antitone": (_antitone, MeanFlags(monotone=True), 80, 1),
+}
+
+
+def _corrupted_report(name):
+    fn, flags, trials, seed = CORRUPTED[name]
+    mean = _corrupted(fn, f"corrupted:{name}", flags)
+    return mean, check_axioms(mean, trials=trials, seed=seed)
 
 
 class TestEvaluate:
@@ -248,6 +283,17 @@ class TestCheckAxioms:
         rep = check_axioms(power(order), trials=200, seed=seed)
         assert rep.outcomes["elimination"].passed, rep.outcomes["elimination"]
 
+    @pytest.mark.parametrize("order, x, z", [(40, 0.1, 10.0), (-40, 10.0, 0.1)])
+    def test_elimination_descends_to_a_rung_where_the_gap_is_small(self, order, x, z):
+        # at the first rung, eps = 1e-12, the appended entry moves the mean
+        # by a relative 0.98, as eps * (z/x)^p = 1e68 dominates; the check
+        # must descend the rungs until the gap is small, then see it shrink
+        mean = power(order)
+        first = kernel._rel_gap(evaluate(mean, [x], [1]),
+                                evaluate(mean, [x, z], [1, kernel._ELIMINATION_RUNGS[0]]))
+        assert first == pytest.approx(0.98, abs=1e-3)
+        assert replay_axiom(mean, "elimination", {"x": [x], "w": [1], "z": z}) == 0.0
+
     def test_max_mean_claiming_continuity_fails_elimination(self):
         flags = MeanFlags(symmetric=True, monotone=True, homogeneous=True,
                           continuous_in_weights=True)
@@ -262,49 +308,47 @@ class TestCheckAxioms:
         assert rep.outcomes["concave"].skipped == "flag not claimed"
 
     def test_additive_corruption_is_caught(self):
-        def fn(x, w):
-            ws = [float(v) for v in w]
-            return sum(a * b for a, b in zip(x, ws)) / sum(ws) + sum(ws)
-        rep = check_axioms(_corrupted(fn, "corrupted:+sumw"), trials=60, seed=0)
+        _, rep = _corrupted_report("+sumw")
         assert not rep.passed
         assert not rep.outcomes["nullhomogeneity"].passed
         assert not rep.outcomes["mean_value"].passed
 
     def test_position_skew_breaks_reduction(self):
-        def fn(x, w):
-            ws = [float(v) * (i + 1) for i, v in enumerate(w)]
-            return sum(a * b for a, b in zip(x, ws)) / sum(ws)
-        flags = MeanFlags(symmetric=True)
-        rep = check_axioms(_corrupted(fn, "corrupted:skew", flags), trials=60, seed=0)
+        _, rep = _corrupted_report("skew")
         assert not rep.outcomes["reduction"].passed
         assert not rep.outcomes["symmetric"].passed
 
     def test_antitone_mean_fails_claimed_monotonicity(self):
-        def fn(x, w):
-            ws = [float(v) for v in w]
-            inv = sum(b / a for a, b in zip(x, ws)) / sum(ws)
-            return 1.0 / inv
-        # harmonic mean is fine; corrupt it to decrease in x_j
-        def bad(x, w):
-            return fn(x, w) - 0.5 * float(x[0]) + 0.5 * min(x)
-        rep = check_axioms(_corrupted(bad, "corrupted:antitone",
-                                      MeanFlags(monotone=True)),
-                           trials=80, seed=1)
+        _, rep = _corrupted_report("antitone")
         assert not rep.outcomes["monotone"].passed
 
-    def test_witness_replays_to_reported_violation(self):
-        def fn(x, w):
-            ws = [float(v) for v in w]
-            return sum(a * b for a, b in zip(x, ws)) / sum(ws) + sum(ws)
-        mean = _corrupted(fn, "corrupted:+sumw")
-        rep = check_axioms(mean, trials=60, seed=0)
-        oc = rep.outcomes["nullhomogeneity"]
-        assert oc.witness is not None
-        replayed = replay_axiom(mean, "nullhomogeneity", oc.witness)
-        assert replayed == pytest.approx(oc.worst_violation, abs=1e-9)
-        out = rep.to_json()["outcomes"]["nullhomogeneity"]
-        assert not out["passed"]
-        assert out["witness"] == json_ready(oc.witness)
+    @pytest.mark.parametrize("name", sorted(CORRUPTED))
+    def test_witness_replays_to_reported_violation(self, name):
+        # the check hands each measure the trial's M(x, w); a replay
+        # recomputes it from the witness and must land on the same number
+        mean, rep = _corrupted_report(name)
+        failing = [oc for oc in rep.outcomes.values() if not oc.passed]
+        assert failing
+        for oc in failing:
+            assert oc.witness is not None
+            assert replay_axiom(mean, oc.axiom, oc.witness) == oc.worst_violation, oc.axiom
+            out = rep.to_json()["outcomes"][oc.axiom]
+            assert not out["passed"]
+            assert out["witness"] == json_ready(oc.witness)
+
+    @pytest.mark.parametrize("order, calls", [(0.5, 2200), (2.0, 1800), (math.inf, 1400)])
+    def test_one_evaluation_of_the_base_serves_every_check(self, monkeypatch, order, calls):
+        # per trial: M(x, w) once, then 1 evaluation for nullhomogeneity,
+        # 2 for reduction, 0 for mean_value, 2 for elimination (the first
+        # rung suffices at |p| <= 4), 1 each for symmetric and monotone, 2
+        # for concave and 1 for homogeneous; p = 2 claims no concavity and
+        # +inf skips elimination too
+        seen = []
+        real = kernel.evaluate
+        monkeypatch.setattr(kernel, "evaluate", lambda *args: seen.append(args) or real(*args))
+        rep = check_axioms(power(order), trials=200, seed=1)
+        assert rep.passed
+        assert len(seen) == calls
 
     def test_report_serializes(self):
         rep = check_axioms(power(1.0), trials=10, seed=0)
