@@ -7,9 +7,9 @@ from .kernel import (AxiomReport, CheckOutcome, MeanDomainError, MeanFlags,
 from .families import (GeneratorHandle, builtin_generator, make_generator,
                        parse_mean, power, power_mean, quasiarithmetic,
                        quasiarithmetic_mean)
-from .weights import (RatioReport, WeightSeq, as_float, coarsen,
-                      is_coarsening_of, make_sequence, random_rational_sequence,
-                      ratio_diagnostics, term_ratios)
+from .weights import (RatioReport, WeightSeq, coarsen, is_coarsening_of,
+                      make_sequence, random_rational_sequence, ratio_diagnostics,
+                      term_ratios)
 from .search import (OptimizerConfig, SearchResult, hardy_ratio, maximize_hardy_ratio,
                      prefix_means)
 from .hardy import (HardyEstimate, HypothesisViolation, InconclusiveError,
@@ -29,7 +29,7 @@ __all__ = [
     "replay_axiom", "shuffle", "step_profile",
     "GeneratorHandle", "builtin_generator", "make_generator", "parse_mean",
     "power", "power_mean", "quasiarithmetic", "quasiarithmetic_mean",
-    "RatioReport", "WeightSeq", "as_float", "coarsen", "is_coarsening_of",
+    "RatioReport", "WeightSeq", "coarsen", "is_coarsening_of",
     "make_sequence", "random_rational_sequence", "ratio_diagnostics",
     "term_ratios",
     "OptimizerConfig", "SearchResult", "hardy_ratio", "maximize_hardy_ratio",

@@ -241,7 +241,7 @@ def verify_cut(mean: Union[str, MeanSpec], psi: WeightSeq, lam: WeightSeq,
     m)], or 0 for identical prefixes: pass if every lower end is >= 0, fail
     if an upper end is < 0 (margin: the least end that decides), else
     inconclusive, as for means with no order: two lower bounds decide nothing.
-    Float-mode weights (non-integer power:ALPHA, as_float views) are refused
+    Float-mode weights (non-integer power:ALPHA, or float terms) are refused
     with HypothesisViolation.
     """
     if N < 1:

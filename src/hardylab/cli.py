@@ -16,12 +16,12 @@ unexpected fault of the program (one line, no traceback).
 Output is deterministic for a fixed argv and seed: JSON has sorted keys,
 a "schema" tag and no timestamps; rational values print as "p/q". Number
 literals on the command line parse exactly unless --float is given, an
-option of the subcommands that read them only (not verify axioms, cut or
-lsc-example, nor estimate --method nonweighted-limit, which takes no
---weights either: it runs on unit weights); --tol is a float either way (finite and >= 0), and --N,
---trials and --starts (estimate and explore continuity only) whole
-numbers >= 1. The parser is built on the first main call of a process
-and reused; handlers are looked up by name at dispatch.
+option only of constant (for the --copson order), verify jcin, decreasing
+and mu1-sweep, and explore continuity: weight descriptors never parse as
+floats. --tol is a float either way (finite and >= 0), and --N, --trials
+and --starts (estimate and explore continuity only) whole numbers >= 1.
+The parser is built on the first main call of a process and reused;
+handlers are looked up by name at dispatch.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence
 from .scalars import Number, format_number, is_exact, json_ready, parse_float, parse_number
 from .kernel import MeanDomainError, check_axioms, step_profile
 from .families import parse_mean, power_order
-from .weights import WeightSeq, as_float, coarsen, make_sequence
+from .weights import coarsen, make_sequence
 from .search import OptimizerConfig
 from .hardy import (HypothesisViolation, InconclusiveError, arithmetic_hardy,
                     copson_constant, finite_lower_bound, kedlaya_estimate,
@@ -123,11 +123,6 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _weights_arg(desc: str, float_mode: bool) -> WeightSeq:
-    seq = make_sequence(desc)
-    return as_float(seq) if float_mode else seq
-
-
 def _kv_rows(payload: dict, prefix: str = "") -> List[List[object]]:
     rows: List[List[object]] = []
     for key in sorted(payload):
@@ -194,33 +189,39 @@ def _check_exit(rep) -> int:
 
 def _cmd_constant(args) -> Rendered:
     if args.copson is not None:
+        if (args.weights, args.N, args.certified) != (None, None, None):
+            raise ValueError("--copson takes none of --weights, --N and --certified, "
+                             "which steer --arithmetic")
         p = _parse_one(args.copson, args.float, "--copson")
         value = copson_constant(p)
         report = {"constant": "copson", "order": format_number(p),
                   "value": json_ready(value)}
         return Rendered(0, "constant", {"copson": format_number(p)}, report,
                         format_number(value))
-    lam = _weights_arg(args.weights, args.float)
-    est = arithmetic_hardy(lam, args.N, certified=args.certified)
+    if args.float:
+        raise ValueError("--float reads only the --copson order; --arithmetic "
+                         "weights stay exact")
+    weights = "dyadic" if args.weights is None else args.weights
+    N = 200 if args.N is None else args.N
+    certified = args.certified is not None
+    est = arithmetic_hardy(make_sequence(weights), N, certified=certified)
     text = format_number(est.value)
     if est.upper is not None:
         text += f"\ninterval: [{float(est.lower)!r}, {float(est.upper)!r}]"
-    cfg = {"arithmetic": True, "weights": args.weights, "N": args.N,
-           "certified": args.certified}
+    cfg = {"arithmetic": True, "weights": weights, "N": N, "certified": certified}
     return Rendered(0, "constant", cfg, est.to_json(), text)
 
 
 def _cmd_estimate(args) -> Rendered:
     if args.method == "nonweighted-limit":
-        # the limit runs on unit weights, and both options only steer how
-        # weights are read
-        if args.weights is not None or args.float:
+        # the limit runs on unit weights
+        if args.weights is not None:
             raise ValueError("--method nonweighted-limit runs on unit weights; "
-                             "it takes neither --weights nor --float")
+                             "it takes no --weights")
         weights = "ones"
     else:
         weights = "ones" if args.weights is None else args.weights
-        lam = _weights_arg(weights, args.float)
+        lam = make_sequence(weights)
     mean = parse_mean(args.mean)
     if args.method == "finite":
         est = finite_lower_bound(mean, lam, args.N,
@@ -401,10 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--copson", metavar="P", help="power-mean order")
     g.add_argument("--arithmetic", action="store_true",
                    help="arithmetic-mean constant of --weights")
-    c.add_argument("--weights", default="dyadic", help="weight descriptor")
-    c.add_argument("--N", type=_count, default=200, help="truncation length")
-    c.add_argument("--certified", action="store_true",
-                   help="also bound the tail, reporting a two-sided interval")
+    c.add_argument("--weights", help="weight descriptor of --arithmetic (default dyadic)")
+    c.add_argument("--N", type=_count, help="truncation length of --arithmetic (default 200)")
+    c.add_argument("--certified", action="store_true", default=None,
+                   help="also bound the tail of --arithmetic, reporting a two-sided "
+                        "interval")
     _add_common(c, "_cmd_constant", reads_floats=True)
 
     e = sub.add_parser(
@@ -423,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--N", type=_count, default=256)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--starts", type=_count, default=8, help=STARTS_HELP)
-    _add_common(e, "_cmd_estimate", fmt_default="json", reads_floats=True)
+    _add_common(e, "_cmd_estimate", fmt_default="json")
 
     v = sub.add_parser("verify", help="structural checks")
     vs = v.add_subparsers(dest="verb", required=True)

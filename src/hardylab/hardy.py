@@ -136,13 +136,18 @@ def copson_constant(p: float) -> float:
 def arithmetic_hardy(lam: WeightSeq, N: int, *, certified: bool = False) -> HardyEstimate:
     """Partial sum of w_n / W_n, the arithmetic-mean constant truncated at N.
 
-    Exact rationals when the sequence is exact. The partial sum is always
-    a certified lower bound. With certified=True the tail is bounded by
-    (remaining weight mass) / W_N, which needs a convergent weight sum;
-    otherwise InconclusiveError.
+    Exact rationals when the sequence is exact. The partial sum is a lower
+    bound, certified when exact. With certified=True the tail is bounded by
+    (remaining weight mass) / W_N, which needs a certified tail bound;
+    otherwise InconclusiveError, raised before any term is summed when the
+    sequence is in float mode, since float weights certify nothing.
     """
     if N < 1:
         raise ValueError("need N >= 1")
+    if certified and not lam.exact:
+        raise InconclusiveError(
+            f"{lam.descriptor}: float weights certify nothing, so the partial "
+            "sum cannot be closed into a two-sided interval")
     if lam.exact:
         partial: Number = exact_sum(term_ratios(lam, N))
     else:

@@ -277,29 +277,28 @@ def _rel_gap(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-# Each measure maps (mean, witness, tol) -> violation magnitude (0 = pass),
-# so a stored witness replays to the same number; check_axioms also hands
-# in base = M(x, w) of the trial, which a replay recomputes.
+# Each measure maps (mean, witness, tol, base) -> violation magnitude
+# (0 = pass), base being M(x, w) of the witness's x and w, which every
+# measure but reduction reads; check_axioms evaluates it once per trial and
+# replay_axiom once per witness, so a stored witness replays to the same
+# number.
 
 
-def _measure_nullhomogeneity(mean, wit, tol, base=None):
-    base = evaluate(mean, wit["x"], wit["w"]) if base is None else base
+def _measure_nullhomogeneity(mean, wit, tol, base):
     scaled = evaluate(mean, wit["x"], [wit["t"] * v for v in wit["w"]])
     return max(0.0, _rel_gap(base, scaled) - tol)
 
 
-def _measure_reduction(mean, wit, tol, base=None):
+def _measure_reduction(mean, wit, tol, base):
     x, lam, mu = wit["x"], wit["lam"], wit["mu"]
     joint = evaluate(mean, x, [a + b for a, b in zip(lam, mu)])
     split = evaluate(mean, shuffle(x, x), shuffle(lam, mu))
     return max(0.0, _rel_gap(joint, split) - tol)
 
 
-def _measure_mean_value(mean, wit, tol, base=None):
-    x = wit["x"]
-    m = evaluate(mean, x, wit["w"]) if base is None else base
-    lo, hi = min(x), max(x)
-    overshoot = max(lo - m, m - hi, 0.0)
+def _measure_mean_value(mean, wit, tol, base):
+    lo, hi = min(wit["x"]), max(wit["x"])
+    overshoot = max(lo - base, base - hi, 0.0)
     return max(0.0, overshoot / max(hi, 1e-300) - tol)
 
 
@@ -307,9 +306,8 @@ def _measure_mean_value(mean, wit, tol, base=None):
 _ELIMINATION_RUNGS = tuple(float(f"1e-{k}") for k in range(12, 301, 3))
 
 
-def _measure_elimination(mean, wit, tol, base=None):
+def _measure_elimination(mean, wit, tol, base):
     x, w, z = wit["x"], wit["w"], wit["z"]
-    base = evaluate(mean, x, w) if base is None else base
 
     def gap(eps):
         return _rel_gap(base, evaluate(mean, list(x) + [z], list(w) + [eps]))
@@ -326,16 +324,14 @@ def _measure_elimination(mean, wit, tol, base=None):
     return max(0.0, first - 1e-2, second - max(0.1 * first, 100 * tol))
 
 
-def _measure_symmetric(mean, wit, tol, base=None):
+def _measure_symmetric(mean, wit, tol, base):
     x, w, perm = wit["x"], wit["w"], wit["perm"]
-    base = evaluate(mean, x, w) if base is None else base
     permuted = evaluate(mean, [x[i] for i in perm], [w[i] for i in perm])
     return max(0.0, _rel_gap(base, permuted) - tol)
 
 
-def _measure_monotone(mean, wit, tol, base=None):
+def _measure_monotone(mean, wit, tol, base):
     x, w, j, delta = wit["x"], wit["w"], wit["j"], wit["delta"]
-    base = evaluate(mean, x, w) if base is None else base
     bumped = list(x)
     bumped[j] += delta
     after = evaluate(mean, bumped, w)
@@ -343,18 +339,16 @@ def _measure_monotone(mean, wit, tol, base=None):
     return max(0.0, drop - tol)
 
 
-def _measure_concave(mean, wit, tol, base=None):
+def _measure_concave(mean, wit, tol, base):
     x, y, w = wit["x"], wit["y"], wit["w"]
     mid = evaluate(mean, [(a + b) / 2 for a, b in zip(x, y)], w)
-    base = evaluate(mean, x, w) if base is None else base
     avg = (base + evaluate(mean, y, w)) / 2
     gap = (avg - mid) / max(abs(avg), 1e-300)
     return max(0.0, gap - tol)
 
 
-def _measure_homogeneous(mean, wit, tol, base=None):
+def _measure_homogeneous(mean, wit, tol, base):
     x, w, t = wit["x"], wit["w"], wit["t"]
-    base = evaluate(mean, x, w) if base is None else base
     scaled = evaluate(mean, [t * v for v in x], w)
     return max(0.0, _rel_gap(t * base, scaled) - tol)
 
@@ -373,7 +367,8 @@ _MEASURES = {
 
 def replay_axiom(mean: MeanSpec, axiom: str, witness: dict, tol: float = DEFAULT_AXIOM_TOL) -> float:
     """Recompute the violation magnitude of a stored witness."""
-    return _MEASURES[axiom](mean, witness, tol)
+    base = None if axiom == "reduction" else evaluate(mean, witness["x"], witness["w"])
+    return _MEASURES[axiom](mean, witness, tol, base)
 
 
 # log-uniform ranges (log lo, log hi) of the random witnesses: entries and

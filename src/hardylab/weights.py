@@ -49,7 +49,9 @@ class WeightSeq:
     masses(N) likewise uses a supplied closed form, and otherwise the
     integer masses of the first N terms. tail_bound(n) bounds the mass
     beyond n, which certifies convergence; sum_diverges records
-    closed-form divergence knowledge (None=unknown). floats(start, stop),
+    closed-form divergence knowledge (None=unknown). A sequence of float
+    terms (of the descriptors, power:ALPHA with non-integral ALPHA) is in
+    float mode and certifies nothing. floats(start, stop),
     where supplied, gives the floats of terms start+1..stop as one array, exactly
     as term_float rounds them (see terms_floats).
     """
@@ -163,23 +165,6 @@ class WeightSeq:
         return np.cumsum(self.terms_floats(n))
 
 
-def as_float(w: WeightSeq) -> WeightSeq:
-    """Float-mode view of a sequence (exactness deliberately dropped)."""
-    tf = w._term_float or (lambda k: float(w.term(k)))
-    tail = None
-    if w.tail_bound(1) is not None:
-        tail = lambda n: float(w.tail_bound(n))
-    return WeightSeq(
-        f"{w.descriptor}[float]",
-        lambda n: tf(n),
-        tail_bound=tail,
-        sum_diverges=w.sum_diverges,
-        divergence_reason=w.divergence_reason,
-        term_float=tf,
-        floats=w._floats,
-    )
-
-
 # ---------------------------------------------------------------------------
 # built-in descriptors
 # ---------------------------------------------------------------------------
@@ -231,10 +216,11 @@ def make_sequence(spec: str) -> WeightSeq:
     "2" (rational literals stay exact), its special cases "ones" (Q = 1)
     and "dyadic" (Q = 1/2, so 2^-n), "perturbed-dyadic:K" (dyadic with the
     K-th term raised to 1), and "power:ALPHA" (n^alpha; exact for integer
-    alpha). Convergent descriptors carry a tail bound: the exact tail for
-    the geometric and perturbed-dyadic ones, the integral bound
-    n^(alpha+1) / (-alpha-1) for power, and 1 + 1/(-alpha-1) for its whole
-    mass at n = 0 (a Fraction for integer alpha, a float otherwise).
+    alpha, float terms otherwise). Convergent exact descriptors carry a
+    tail bound: the exact tail for the geometric and perturbed-dyadic
+    ones, and for integer alpha the integral bound n^(alpha+1) / (-alpha-1),
+    with 1 + 1/(-alpha-1) for the whole mass at n = 0. A non-integral
+    alpha carries none (tail_bound answers None).
     """
     token = spec.strip()
     head, sep, arg = token.partition(":")
@@ -304,19 +290,14 @@ def make_sequence(spec: str) -> WeightSeq:
                    (lambda n, _a=a_int: Fraction(1, n ** (-_a)))
         else:
             term = lambda n: float(n) ** af
+        div = af >= -1
+        reason = f"p-series with exponent {format_number(alpha)} {'>=' if div else '<'} -1"
+        # the integral bound n^(alpha+1) / (-alpha-1) of a convergent integer
+        # alpha; at n = 0 the first term plus the bound beyond 1
         tail = None
-        if af >= -1:
-            div, reason = True, f"p-series with exponent {format_number(alpha)} >= -1"
-        else:
-            div = False
-            reason = f"p-series with exponent {format_number(alpha)} < -1"
-            # the integral bound n^(alpha+1) / (-alpha-1), exact for integer
-            # alpha; at n = 0 the first term plus the bound beyond 1
-            if integral:
-                tail = lambda n, _b=-a_int - 1: \
-                    Fraction(1, _b * n ** _b) if n else 1 + Fraction(1, _b)
-            else:
-                tail = lambda n: float(n) ** (af + 1) / (-af - 1) if n else 1 + 1 / (-af - 1)
+        if integral and not div:
+            tail = lambda n, _b=-a_int - 1: \
+                Fraction(1, _b * n ** _b) if n else 1 + Fraction(1, _b)
         return WeightSeq(
             desc, term, tail_bound=tail,
             sum_diverges=div, divergence_reason=reason,

@@ -98,6 +98,30 @@ class TestConstant:
         assert code == 3
         assert "tail" in err
 
+    @pytest.mark.parametrize("desc", ["power:-3/2", "power:-5/2"])
+    def test_float_weights_cannot_certify(self, capsys, desc):
+        # non-integral powers have float terms, which certify nothing
+        code, out, err = run(capsys, "constant", "--arithmetic", "--weights", desc,
+                             "--N", "100", "--certified")
+        assert code == 3
+        assert out == ""
+        assert err == f"hardy: {desc}: float weights certify nothing, so the partial " \
+                      "sum cannot be closed into a two-sided interval\n"
+
+    def test_copson_reads_no_arithmetic_options(self, capsys):
+        code, out, err = run(capsys, "constant", "--copson", "1/2", "--weights", "bogus",
+                             "--N", "5", "--certified")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("hardy: --copson takes none of --weights, --N and --certified")
+
+    def test_arithmetic_defaults_fill_the_config(self, capsys):
+        code, out, _ = run(capsys, "constant", "--arithmetic", "--N", "3",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["config"] == {"arithmetic": True, "weights": "dyadic",
+                                             "N": 3, "certified": False}
+
 
 class TestEstimate:
     def test_finite_section_stays_under_cap(self, capsys):
@@ -121,6 +145,17 @@ class TestEstimate:
                            "--N", "8", "--format", "json")
         assert code == 0
         assert 1.0 < json.loads(out)["report"]["value"] < math.e
+
+    @pytest.mark.parametrize("desc, N", [("dyadic", "60"), ("geometric:99/100", "256")])
+    def test_arithmetic_section_gives_the_float_partial_sum(self, capsys, desc, N):
+        # the fast float arithmetic sum of an exact descriptor: upper_section
+        # of the vertex route, not a float view of the weights
+        code, out, _ = run(capsys, "estimate", "--method", "finite", "--mean",
+                           "arithmetic", "--weights", desc, "--N", N)
+        assert code == 0
+        upper = json.loads(out)["report"]["diagnostics"]["upper_section"]
+        exact = float(arithmetic_hardy(make_sequence(desc), int(N)).lower)
+        assert abs(upper - exact) <= 4 * math.ulp(exact)
 
     def test_kedlaya_route(self, capsys):
         code, out, _ = run(capsys, "estimate", "--method", "kedlaya",
@@ -441,6 +476,15 @@ class TestPlumbing:
         ("verify", "axioms", "--mean", "power:1/2", "--trials", "2", "--float"),
         ("verify", "cut", "--weights", "geometric:1/2", "--blocks", "2,3,1", "--float"),
         ("verify", "lsc-example", "--kmax", "3", "--N", "11", "--float"),
+        # weights are never read as floats
+        ("estimate", "--method", "finite", "--mean", "power:1/2", "--weights", "dyadic",
+         "--N", "8", "--float"),
+        ("constant", "--arithmetic", "--weights", "dyadic", "--N", "60", "--certified",
+         "--float"),
+        # --weights, --N and --certified steer --arithmetic only
+        ("constant", "--copson", "1/2", "--weights", "dyadic"),
+        ("constant", "--copson", "1/2", "--N", "5"),
+        ("constant", "--copson", "1/2", "--certified"),
     ])
     def test_usage_errors_exit_two(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -465,6 +509,12 @@ class TestPlumbing:
                 main(argv)
             assert exc.value.code == 0
             assert "usage" in capsys.readouterr().out.lower()
+
+    def test_estimate_takes_no_float_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--help"])
+        assert exc.value.code == 0
+        assert "--float" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ("verify", "cut", "--mean", "power:1/2", "--weights", "geometric:1/1000",
@@ -513,7 +563,7 @@ class TestParserReuse:
          "--format", "json"),
         ("constant", "--copson", "0.5"),  # a usage error: exit 2 on stderr
         ("estimate", "--method", "finite", "--mean", "power:1/2", "--weights", "dyadic",
-         "--N", "6", "--starts", "2", "--float", "--format", "csv"),
+         "--N", "6", "--starts", "2", "--format", "csv"),
         ("verify", "cut", "--weights", "power:-3/2", "--blocks", "2", "--N", "4"),
     ]
 

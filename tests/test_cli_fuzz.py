@@ -59,14 +59,10 @@ TRIALS = _one("--trials", count)
 SEED = _opt("--seed", st.sampled_from(SEEDS))
 TOL = _opt("--tol", number)
 
-# the commands that read number literals, and so take --float
+# the commands that read number literals other than weights, and so take
+# --float
 FLOAT_COMMANDS = st.one_of(
     _cmd(("constant",), _one("--copson", number)),
-    _cmd(("constant", "--arithmetic"), WEIGHT, N,
-         st.sampled_from([[], ["--certified"]])),
-    _cmd(("estimate", "--method", "finite"), MEAN, WEIGHT, N,
-         _opt("--starts", count), SEED),
-    _cmd(("estimate", "--method", "kedlaya"), MEAN, WEIGHT, N),
     _cmd(("verify", "jcin"), MEAN,
          st.one_of(_cmd(_one("--x", st.sampled_from(LISTS)),
                         _one("--w", st.sampled_from(LISTS))),
@@ -79,13 +75,18 @@ FLOAT_COMMANDS = st.one_of(
     _cmd(("explore", "continuity"), MEAN, _opt("--s-grid", st.sampled_from(LISTS)),
          N, _opt("--starts", count)),
 )
-# the commands without --float (it is a usage error there)
+# the commands without --float (it is a usage error there): weights are
+# never read as floats
 PLAIN_COMMANDS = st.one_of(
+    _cmd(("constant", "--arithmetic"), WEIGHT, N,
+         st.sampled_from([[], ["--certified"]])),
+    _cmd(("estimate", "--method", "finite"), MEAN, WEIGHT, N,
+         _opt("--starts", count), SEED),
+    _cmd(("estimate", "--method", "kedlaya"), MEAN, WEIGHT, N),
     _cmd(("verify", "axioms"), MEAN, TRIALS, SEED, TOL),
     _cmd(("verify", "cut"), MEAN, WEIGHT, _one("--blocks", st.sampled_from(BLOCKS)),
          _opt("--N", count)),
     _cmd(("verify", "lsc-example"), _one("--kmax", st.sampled_from(["1", "3", "0"])), N),
-    # it reads no weights, the only literals --float steers on estimate
     _cmd(("estimate", "--method", "nonweighted-limit"), MEAN, N),
 )
 FORMAT = st.sampled_from(["json", "json", "csv", "text"]).map(lambda f: ["--format", f])

@@ -77,16 +77,30 @@ class TestArithmeticHardy:
         manual = sum(lam.term(n) / lam.partial_sum(n) for n in range(1, 11))
         assert est.lower == manual
 
-    def test_fractional_power_interval_contains_a_longer_partial_sum(self):
-        # power:-3/2 has a float integral tail bound, so the interval is float
+    def test_fractional_power_interval_is_refused(self):
+        # power:-3/2 has float terms, which certify nothing; the partial sum
+        # alone is still reported
         lam = make_sequence("power:-3/2")
-        est = arithmetic_hardy(lam, 100, certified=True)
-        assert (est.lower, est.upper) == pytest.approx(
-            (1.824344466227119, 1.907233167343952), rel=1e-12)
-        w = lam.terms_floats(10 ** 5)
-        longer = float(np.sum(w / np.cumsum(w)))
-        assert longer == pytest.approx(1.9013577, abs=1e-7)
-        assert est.lower <= longer <= est.upper
+        with pytest.raises(InconclusiveError, match="float weights certify nothing"):
+            arithmetic_hardy(lam, 100, certified=True)
+        est = arithmetic_hardy(lam, 100)
+        assert est.value == pytest.approx(1.824344466227119, rel=1e-12)
+        assert est.upper is None and est.diagnostics["number_mode"] == "float"
+
+    def test_float_weights_are_refused_before_any_term_is_summed(self):
+        # a float tail bound never closes an interval: the float partial sum
+        # of dyadic weights rounds to the float of the limit, so an interval
+        # built on it would miss the limit itself
+        summed = []
+
+        def term(n):
+            summed.append(n)
+            return 0.5 ** n
+        lam = WeightSeq("h", term, tail_bound=lambda n: 0.5 ** n)
+        summed.clear()
+        with pytest.raises(InconclusiveError, match="float weights certify nothing"):
+            arithmetic_hardy(lam, 60, certified=True)
+        assert summed == []
 
     def test_divergent_weights_cannot_be_certified(self):
         with pytest.raises(InconclusiveError):
@@ -94,8 +108,8 @@ class TestArithmeticHardy:
 
     def test_float_path_matches_exact_path(self):
         exact = arithmetic_hardy(make_sequence("geometric:1/3"), 30)
-        from hardylab.weights import as_float
-        floaty = arithmetic_hardy(as_float(make_sequence("geometric:1/3")), 30)
+        floaty = arithmetic_hardy(WeightSeq("g", lambda n: 3.0 ** -n), 30)
+        assert floaty.diagnostics["number_mode"] == "float"
         assert floaty.value == pytest.approx(exact.value, rel=1e-13)
 
 
