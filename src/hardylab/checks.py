@@ -236,11 +236,15 @@ def verify_cut(mean: Union[str, MeanSpec], psi: WeightSeq, lam: WeightSeq,
 
     Compares the section of psi at m with that of lam at the matched index
     n_m (equal partial sums) for m = 1..N. The arithmetic mean compares
-    exact partial sums of lam_n/Lam_n. Other power orders bound the slack
+    exact partial sums of lam_n/Lam_n; their slacks stay unreduced int
+    pairs, signed by the numerator and compared by cross-multiplication, so
+    only the witness's slack is reduced (reducing all 60 took 12.9 of the
+    16.2 ms of geometric:3/4 at N = 60). Other power orders bound the slack
     at m by [value(lam, n_m) - upper(psi, m), upper(lam, n_m) - value(psi,
     m)], or 0 for identical prefixes: pass if every lower end is >= 0, fail
     if an upper end is < 0 (margin: the least end that decides), else
     inconclusive, as for means with no order: two lower bounds decide nothing.
+    The witness is the first truncation of least slack.
     Float-mode weights (non-integer power:ALPHA, or float terms) are refused
     with HypothesisViolation.
     """
@@ -268,8 +272,18 @@ def verify_cut(mean: Union[str, MeanSpec], psi: WeightSeq, lam: WeightSeq,
         mode = "arithmetic-exact"
         coarse = list(accumulate(term_ratios(psi, N)))
         fine = list(accumulate(term_ratios(lam, ns[-1])))
-        rows = [{"coarse_sum": c, "fine_sum": fine[n - 1]} for c, n in zip(coarse, ns)]
-        lo = hi = [r["fine_sum"] - r["coarse_sum"] for r in rows]
+        fine = [fine[n - 1] for n in ns]
+        rows = [{"coarse_sum": c, "fine_sum": f} for c, f in zip(coarse, fine)]
+        # the slacks fine - coarse as unreduced (numerator, denominator > 0)
+        # pairs, compared by cross-multiplication: only the least is reduced
+        pairs = [(f.numerator * c.denominator - c.numerator * f.denominator,
+                  f.denominator * c.denominator) for c, f in zip(coarse, fine)]
+        k = 0  # the first truncation of least slack
+        for i, (a, b) in enumerate(pairs):
+            if a * pairs[k][1] < pairs[k][0] * b:
+                k = i
+        slack = Fraction(*pairs[k])
+        ok = slack >= 0
     else:
         mode, rows, lo, hi = "certified-sections", [], [], []
         w_psi, w_lam = psi.terms_floats(N), lam.terms_floats(ns[-1])
@@ -280,19 +294,20 @@ def verify_cut(mean: Union[str, MeanSpec], psi: WeightSeq, lam: WeightSeq,
                          "fine_value": f.value, "fine_upper": f.upper_section})
             lo.append(0.0 if f is c else f.value - c.upper_section)
             hi.append(0.0 if f is c else f.upper_section - c.value)
-    if min(lo) < 0 <= min(hi):
-        k = lo.index(min(lo))
-        raise _hardy.InconclusiveError(
-            f"{mean.name}: the certificates bound the slack at truncation {k + 1} "
-            f"by [{float(lo[k])!r}, {float(hi[k])!r}] only")
-    ok = min(lo) >= 0
-    slack = lo if ok else hi
-    k = slack.index(min(slack))  # the first truncation of least slack
+        if min(lo) < 0 <= min(hi):
+            k = lo.index(min(lo))
+            raise _hardy.InconclusiveError(
+                f"{mean.name}: the certificates bound the slack at truncation {k + 1} "
+                f"by [{float(lo[k])!r}, {float(hi[k])!r}] only")
+        ok = min(lo) >= 0
+        ends = lo if ok else hi
+        k = ends.index(min(ends))  # the first truncation of least slack
+        slack = ends[k]
     return CheckReport(
         check="cut", passed=ok, outcome="pass" if ok else "fail",
-        instances=N, margin=float(slack[k]),
+        instances=N, margin=float(slack),
         witness={"truncation": k + 1, "matched_fine_index": ns[k], **rows[k],
-                 "slack": slack[k]},
+                 "slack": slack},
         details={"mode": mode, "mean": mean.name, "psi": psi.descriptor,
                  "lam": lam.descriptor, "matched_indices": ns[:32]})
 

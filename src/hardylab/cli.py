@@ -64,9 +64,10 @@ class Rendered:
     rows: Optional[List[List[object]]] = None
 
 
-def _parse_values(text: str, float_mode: bool) -> List[Number]:
+def _parse_values(text: str, float_mode: bool, exact_flag: str = "") -> List[Number]:
     """Every number literal of the command line: exact unless float_mode,
-    and within the float range either way."""
+    and within the float range either way. exact_flag names an option whose
+    list is exact whatever --float says, for the refusal of a float literal."""
     toks = [t.strip() for t in text.replace(";", ",").split(",")]
     if not any(toks):
         raise ValueError("empty value list")
@@ -75,9 +76,10 @@ def _parse_values(text: str, float_mode: bool) -> List[Number]:
     values: List[Number] = []
     for t in toks:
         if not float_mode and ("." in t or (("e" in t.lower()) and "inf" not in t.lower())):
-            raise ValueError(
-                f"{t!r} is a float literal; write an exact ratio like p/q, "
-                "or pass --float to accept float precision")
+            fix = (f"{exact_flag} takes exact ratios like p/q whatever --float says"
+                   if exact_flag else
+                   "write an exact ratio like p/q, or pass --float to accept float precision")
+            raise ValueError(f"{t!r} is a float literal; {fix}")
         rounded = parse_float(t)  # refuses literals beyond the float range
         values.append(rounded if float_mode else parse_number(t))
     return values
@@ -260,7 +262,7 @@ def _cmd_verify_jcin(args) -> Rendered:
         raise ValueError("--x and --w must be given together")
     if args.x is not None:
         x = _parse_values(args.x, args.float)
-        w = _parse_values(args.w, False)
+        w = _parse_values(args.w, False, "--w")
         rep = verify_jcin(mean, x, w, tol=args.tol)
         cfg = {"mean": args.mean, "x": args.x, "w": args.w, "tol": args.tol}
     else:
@@ -296,7 +298,7 @@ def _cmd_verify_cut(args) -> Rendered:
 def _cmd_verify_decreasing(args) -> Rendered:
     mean = parse_mean(args.mean)
     x = _parse_values(args.x, args.float)
-    w = _parse_values(args.w, False)
+    w = _parse_values(args.w, False, "--w")
     grid = _parse_values(args.grid, args.float)
     f = step_profile(x, w)
     rep = verify_decreasing(mean, f, grid, tol=args.tol)
@@ -452,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "counterexample search.")
     vj.add_argument("--mean", required=True)
     vj.add_argument("--x", help="comma-separated values for a single instance")
-    vj.add_argument("--w", help="comma-separated rational weights")
+    vj.add_argument("--w", help="comma-separated rational weights, exact even with --float")
     vj.add_argument("--trials", type=_count, default=200)
     vj.add_argument("--seed", type=int, default=0)
     vj.add_argument("--tol", type=_tolerance, default=1e-10)
@@ -480,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "(0, u] is nonincreasing in u, checked on a grid.")
     vd.add_argument("--mean", required=True)
     vd.add_argument("--x", required=True, help="step values")
-    vd.add_argument("--w", required=True, help="step widths (weights)")
+    vd.add_argument("--w", required=True,
+                    help="step widths (weights), exact even with --float")
     vd.add_argument("--grid", required=True, help="comma-separated u values")
     vd.add_argument("--tol", type=_tolerance, default=1e-9)
     _add_common(vd, "_cmd_verify_decreasing", reads_floats=True)

@@ -7,6 +7,7 @@ literals ("p/q", decimals, "inf")."""
 
 from __future__ import annotations
 
+import heapq
 import math
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
@@ -31,17 +32,30 @@ def all_exact(values: Sequence) -> bool:
 def exact_sum(values: Iterable[Number]) -> Number:
     """sum(values) for exact rationals, equal to it in value and in type.
 
-    Neighbours are added level by level, so only the last few additions
-    work on full-size numerators and denominators; a left-to-right sum pays
-    a gcd and a multiply on the whole running denominator at every term.
+    The two partial sums with the shortest denominators (in bits) are
+    added next, Huffman's greedy order, with ties taken in insertion order
+    so that no two values are ever compared. On CPython 3.11 each Fraction
+    addition pays two gcds whose cost grows quadratically with the size of
+    the denominators, so the largest operands should meet as late and as
+    seldom as possible: pairing neighbours by position leaves two huge ones
+    for each of its last levels (the last two took about 60 % of the time
+    for the lambda_n/Lambda_n of dyadic at N = 1000), and a left-to-right sum pays
+    a gcd on the whole running denominator at every term. Against the
+    pairwise order (2-core VM, Python 3.11, best of 5): dyadic at N = 1000
+    276 -> 192 ms, geometric:9/10 at N = 500 195 -> 138 ms,
+    perturbed-dyadic:3 at N = 1000 255 -> 240 ms, power:-2 at N = 1000
+    1.75 -> 1.66 s; at N = 60 the heap costs 0.04 ms more (0.10 -> 0.14 ms).
+    The order changes no result: the sum is one normalized rational.
     """
-    level = list(values)
-    while len(level) > 1:
-        merged = [a + b for a, b in zip(level[::2], level[1::2])]
-        if len(level) % 2:
-            merged.append(level[-1])
-        level = merged
-    return sum(level)  # 0 when there are no values, as sum() gives
+    heap = [(v.denominator.bit_length(), i, v) for i, v in enumerate(values)]
+    heapq.heapify(heap)
+    count = len(heap)
+    while len(heap) > 1:
+        a = heapq.heappop(heap)[2]
+        s = a + heap[0][2]
+        heapq.heapreplace(heap, (s.denominator.bit_length(), count, s))
+        count += 1
+    return sum(v for _, _, v in heap)  # 0 when there are no values, as sum() gives
 
 
 # bits that ratio_fsum's integer bracket keeps beyond a double's 54

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -229,6 +230,47 @@ class TestCut:
                    for n in range(1, 7))
         assert rep.witness["slack"] <= fine - coarse  # worst is no better
         assert rep.witness["fine_sum"] <= fine
+
+    @pytest.mark.parametrize("desc", ["geometric:1/2", "geometric:3/4", "ones", "dyadic",
+                                      "perturbed-dyadic:3", "power:-2"])
+    def test_exact_report_matches_fraction_reference(self, desc):
+        # reference: partial sums by Fraction addition, slacks by Fraction
+        # subtraction, the first least slack by min and index; a block of
+        # size 1 adds equal ratios to both sums, so it ties the slack before
+        # it, and leading ones tie at slack 0
+        lam = make_sequence(desc)
+        rng = random.Random(f"cut:{desc}")
+        compositions = [[1, 1, 1, 3, 1, 2], [3, 1, 1, 2, 1]]
+        compositions += [[rng.choice([1, 1, 2, 3, 5]) for _ in range(rng.randint(1, 14))]
+                         for _ in range(6)]
+        for sizes in compositions:
+            ns = list(accumulate(sizes))
+            terms = [Fraction(lam.term(n)) for n in range(1, ns[-1] + 1)]
+            fine = list(accumulate(t / W for t, W in zip(terms, accumulate(terms))))
+            blocks = [sum(terms[n - b:n]) for b, n in zip(sizes, ns)]
+            coarse = list(accumulate(t / W for t, W in zip(blocks, accumulate(blocks))))
+            slacks = [fine[n - 1] - c for c, n in zip(coarse, ns)]
+            k = slacks.index(min(slacks))
+            rep = verify_cut("arithmetic", coarsen(lam, sizes), lam, len(sizes))
+            assert rep.passed == (slacks[k] >= 0)
+            assert rep.margin == float(slacks[k])
+            assert rep.witness == {"truncation": k + 1, "matched_fine_index": ns[k],
+                                   "coarse_sum": coarse[k], "fine_sum": fine[ns[k] - 1],
+                                   "slack": slacks[k]}, (desc, sizes)
+
+    def test_exact_negative_slacks_name_the_first_least(self, monkeypatch):
+        # no coarsening gives a negative slack for the arithmetic mean, so
+        # the ratios are stubbed: fine sums 1, 1, 2 against coarse sums
+        # 1/2, 3/2, 5/2 give slacks 1/2, -1/2, -1/2
+        lam = make_sequence("ones")
+        stub = {"coarse": [Fraction(1, 2), 1, 1], "fine": [1, 0, 1]}
+        monkeypatch.setattr(checks, "term_ratios", lambda w, n: [
+            Fraction(v) for v in stub["fine" if w is lam else "coarse"][:n]])
+        rep = verify_cut("arithmetic", coarsen(lam, [1]), lam, 3)
+        assert rep.outcome == "fail" and rep.margin == -0.5
+        assert rep.witness["truncation"] == 2
+        assert rep.witness["slack"] == Fraction(-1, 2)
+        assert type(rep.witness["slack"]) is Fraction
 
     def test_non_coarsening_refused(self):
         with pytest.raises(HypothesisViolation, match="not a coarsening"):

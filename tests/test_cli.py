@@ -415,6 +415,20 @@ class TestPlumbing:
         assert json.loads(out)["report"]["outcome"] == "pass"
 
     @pytest.mark.parametrize("argv", [
+        ("verify", "jcin", "--float", "--mean", "power:1", "--x", "1.5,2.5",
+         "--w", "0.5,1"),
+        ("verify", "decreasing", "--float", "--mean", "arithmetic", "--x", "4,2,1",
+         "--w", "1,0.5,1", "--grid", "1,2,3"),
+    ])
+    def test_weights_stay_exact_with_float_flag(self, capsys, argv):
+        # --float reads x and the grid as floats, never the weights, so the
+        # refusal names --w and does not advise the flag already given
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "'0.5' is a float literal" in err and "--w" in err
+        assert "pass --float" not in err
+
+    @pytest.mark.parametrize("argv", [
         ("constant", "--copson", "banana"),
         ("estimate", "--method", "finite", "--weights", "nonsense"),
         ("estimate", "--method", "finite", "--mean", "power:zzz"),

@@ -116,6 +116,28 @@ class TestExactSum:
     def test_accepts_a_generator(self):
         assert exact_sum(Fraction(1, n) for n in range(1, 5)) == Fraction(25, 12)
 
+    @pytest.mark.parametrize("values", [
+        # lambda_n/Lambda_n of dyadic, and of geometric:9/10
+        [Fraction(1, 2 ** n - 1) for n in range(1, 301)],
+        [Fraction(9 ** (n - 1), 10 ** n - 9 ** n) for n in range(1, 151)],
+        # one shared prime denominator, so every key ties
+        [Fraction(k, 2 ** 127 - 1) for k in range(1, 301)],
+    ], ids=["dyadic", "geometric-9/10", "equal-denominators"])
+    def test_families_with_shared_factors_equal_sum(self, values):
+        want = sum(values)
+        shuffled = values[:]
+        random.Random(7).shuffle(shuffled)
+        for got in (exact_sum(values), exact_sum(shuffled)):
+            assert type(got) is type(want)
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    def test_types_of_small_inputs(self):
+        got = exact_sum([3, -5, 7])
+        assert got == 5 and type(got) is int
+        assert exact_sum([]) == 0 and type(exact_sum([])) is int
+        one = Fraction(22, 7)
+        assert exact_sum([one]) == one and type(exact_sum([one])) is Fraction
+
 
 def _tie_parts(d, a, b, c):
     """The midpoint between the double d and the next one up, split into
