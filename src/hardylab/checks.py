@@ -95,6 +95,16 @@ class RearrangementResult:
         return {"y": json_ready(self.y), "y_float": list(self.y_floats())}
 
 
+def _weight_masses(ws: Sequence) -> List[int]:
+    """Checked rational weights as integer masses over one common
+    denominator (scalars.integer_masses); Python ints are their own masses,
+    so masses given back as weights cost no second integer_masses."""
+    _check_weights(ws)
+    if not all_exact(ws):
+        raise TypeError("rearrangement needs rational weights (use p/q literals)")
+    return list(ws) if all(type(v) is int for v in ws) else integer_masses(ws)[0]
+
+
 def equal_sum_rearrangement(x: Sequence[Number], w) -> RearrangementResult:
     """Sort x into nonincreasing block averages without moving weight.
 
@@ -104,23 +114,21 @@ def equal_sum_rearrangement(x: Sequence[Number], w) -> RearrangementResult:
     Python integers over a common denominator each
     (scalars.integer_masses), so the pouring is integer arithmetic with
     one Fraction per block, and numpy integer weights cannot wrap. The
-    weighted sum is preserved exactly; the output is nonincreasing even
-    when x was not.
+    weighted sum is preserved exactly, and asserted in integers: the
+    blocks' poured totals add up to the sum of the values' numerators
+    times their masses. The output is nonincreasing even when x was not.
     """
     ws = tuple(w)
-    _check_weights(ws)
-    if not all_exact(ws):
-        raise TypeError("rearrangement needs rational weights (use p/q literals)")
+    masses = _weight_masses(ws)
     if len(x) != len(ws):
         raise ValueError("x and w must have equal length")
     if any(isinstance(v, float) and not math.isfinite(v) for v in x):
         raise ValueError(f"x entries must be finite, got {list(x)!r}")
-    masses, _ = integer_masses(ws)
-    xs = [Fraction(v) for v in x]
-    nums, dx = integer_masses(xs)  # x_i = nums[i] / dx
+    # x_i = nums[i] / dx; ints and Fractions go in as they are, with no copy
+    nums, dx = integer_masses([v if type(v) in (int, Fraction) else Fraction(v) for v in x])
     runs = iter(sorted(zip(nums, masses), key=lambda t: t[0], reverse=True))
     v, left = next(runs)  # value of the current run and its mass not yet poured
-    y: List[Fraction] = []
+    totals: List[int] = []  # each block's poured value times mass, over dx
     for m in masses:
         need, acc = m, 0
         while left < need:  # the block takes the rest of this run
@@ -129,9 +137,9 @@ def equal_sum_rearrangement(x: Sequence[Number], w) -> RearrangementResult:
             v, left = next(runs)
         acc += v * need
         left -= need
-        y.append(Fraction(acc, dx * m))
-    assert sum(a * b for a, b in zip(y, masses)) == sum(a * b for a, b in zip(xs, masses))
-    return RearrangementResult(y=tuple(y))
+        totals.append(acc)
+    assert sum(totals) == sum(n * m for n, m in zip(nums, masses))
+    return RearrangementResult(y=tuple(Fraction(t, dx * m) for t, m in zip(totals, masses)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +167,13 @@ def verify_jcin(mean: MeanSpec, x: Sequence[Number], w,
     original mean). Power and quasi-arithmetic means are evaluated on the
     integer masses of the whole weight vector, found once, instead of
     normalizing every prefix's weights anew; any other mean receives the
-    caller's weights.
+    caller's weights. The rearrangement is given the same masses as its
+    weights, which it pours exactly as it pours the caller's.
     """
     ws = list(w)
-    res = equal_sum_rearrangement(x, ws)
-    mean_w = integer_masses(ws)[0] if mean.family in _NORMALIZING_FAMILIES else ws
+    masses = _weight_masses(ws)
+    res = equal_sum_rearrangement(x, masses)
+    mean_w = masses if mean.family in _NORMALIZING_FAMILIES else ws
     xs = [float(v) for v in x]
     ys = list(res.y_floats())
     margin = math.inf

@@ -44,6 +44,9 @@ def order_regime(p: float) -> str:
     return "raw" if abs(p) <= RAW_POWER_LIMIT else "log"
 
 
+_INT_TYPE = frozenset((int,))
+
+
 def _normalized_weights(entries: tuple) -> list:
     """Checked weight entries (positive, finite where floats; see
     kernel.MeanSpec) scaled to unit total, exactly in rational mode so
@@ -54,11 +57,20 @@ def _normalized_weights(entries: tuple) -> list:
     i is m_i / sum(m): CPython's int / int is correctly rounded, as is
     float(Fraction), so each weight equals float(Fraction(e) / sum(entries))
     bit for bit, without a Fraction operation per entry.
+
+    The route goes by the type of the first entry: a vector of Python ints
+    is tried first (one type scan), a float first entry goes to the float
+    route at once, and any other vector is exact when every entry is
+    (scalars.all_exact).
     """
-    if not all_exact(entries):
+    first = type(entries[0])
+    if first is int and _INT_TYPE.issuperset(map(type, entries)):
+        masses = entries
+    elif first is not float and all_exact(entries):
+        masses = integer_masses(entries)[0]
+    else:
         ft = float(sum(entries))
         return [float(e) / ft for e in entries]
-    masses = entries if all(type(e) is int for e in entries) else integer_masses(entries)[0]
     total = sum(masses)
     return [m / total for m in masses]
 

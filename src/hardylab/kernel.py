@@ -64,17 +64,27 @@ class MeanSpec:
         return self.name or self.family
 
 
+_INT_TYPE = frozenset((int,))
 _EXACT_TYPES = frozenset((int, Fraction))
 
 
 def _check_weights(ws: tuple) -> None:
     """Every weight positive, and finite unless it is an int or a Fraction:
     exact weights of any size pass (math.isfinite would overflow on them),
-    and numpy scalars that are not Python floats are tested too."""
+    and numpy scalars that are not Python floats are tested too.
+
+    The fast passes try a vector of Python ints first (one type scan and
+    its minimum), then one of ints and Fractions (the numerators' signs),
+    then any other (its minimum and math.isfinite); a float first entry
+    falls through the first two at one type test each."""
     if not ws:
         raise ValueError("weight vector needs at least one entry")
     try:  # fast passes; the loop below is the definition
-        if type(ws[0]) in _EXACT_TYPES and _EXACT_TYPES.issuperset(map(type, ws)):
+        first = type(ws[0])
+        if first is int and _INT_TYPE.issuperset(map(type, ws)):
+            if min(ws) > 0:
+                return
+        elif first in _EXACT_TYPES and _EXACT_TYPES.issuperset(map(type, ws)):
             # a Fraction's denominator is positive: no Fraction comparison
             if all(w.numerator > 0 for w in ws):
                 return

@@ -2,8 +2,8 @@
 exact sums of rationals, rationals as integer masses over one common
 denominator (integer_masses), the correctly rounded float of an exact sum
 from an integer bracket (ratio_fsum over (numerator, denominator) int
-pairs, rational_fsum over rationals), and parsing/formatting of number
-literals ("p/q", decimals, "inf")."""
+pairs), and parsing/formatting of number literals ("p/q", decimals,
+"inf")."""
 
 from __future__ import annotations
 
@@ -63,12 +63,6 @@ def exact_sum(values: Iterable[Number]) -> Number:
 # the bracket straddles a rounding boundary about once in 2**32 sums that
 # are not exact at its scale, and those take the exact sum
 _FSUM_GUARD_BITS = 32
-
-
-def rational_fsum(values: Iterable[Rational]) -> float:
-    """float(exact_sum(values)) bit for bit, without building the sum:
-    ratio_fsum of the values' (numerator, denominator) pairs."""
-    return ratio_fsum([(int(v.numerator), int(v.denominator)) for v in values])
 
 
 def ratio_fsum(pairs: Sequence[Tuple[int, int]]) -> float:

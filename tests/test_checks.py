@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab import checks, hardy, scalars
+from hardylab import checks, families, hardy, kernel, scalars
 from hardylab.checks import (equal_sum_rearrangement, jcin_sweep,
                              lsc_example_table, mu1_sweep, verify_cut,
                              verify_decreasing, verify_jcin)
@@ -182,6 +182,34 @@ class TestJcin:
         for i in range(40):
             x, w = checks._random_instance(random.Random(f"jcin-masses:{i}"))
             assert verify_jcin(mean, x, w).to_json() == verify_jcin(opaque, x, w).to_json()
+
+    def test_no_fraction_sum_or_product_and_masses_found_once(self, monkeypatch):
+        # the conservation check is integer arithmetic, and the integer
+        # masses of w serve the rearrangement and the prefix means alike:
+        # one integer_masses call for w and one for x per verify_jcin call
+        x = [Fraction(7, 2), Fraction(1, 3), 5, Fraction(9, 4), 0.5]
+        w = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 7), 2, Fraction(5, 6)]
+        want_y = equal_sum_rearrangement(x, w).y
+        want = verify_jcin(power(0.5), x, w).to_json()
+
+        def refuse(self, other):
+            raise AssertionError("Fraction arithmetic")
+
+        for op in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(Fraction, op, refuse)
+        calls = []
+
+        def counted(values):
+            calls.append(values)
+            return integer_masses(values)
+
+        integer_masses = scalars.integer_masses
+        for module in (scalars, checks, kernel, families):
+            monkeypatch.setattr(module, "integer_masses", counted)
+        assert equal_sum_rearrangement(x, w).y == want_y
+        calls.clear()
+        assert verify_jcin(power(0.5), x, w).to_json() == want
+        assert len(calls) == 2
 
     def test_other_means_receive_the_callers_weights(self):
         seen = []

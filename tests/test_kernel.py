@@ -114,6 +114,7 @@ REJECTED = [
     ([1, 2], [1, 0], WEIGHT_MSG + "0"),
     ([1, 2], [0.0, 1], WEIGHT_MSG + "0.0"),
     ([1, 2], [-2, 1], WEIGHT_MSG + "-2"),
+    ([1, 2], [1, -2], WEIGHT_MSG + "-2"),  # all ints, the first entry positive
     ([1, 2], [Fraction(-1, 2), 1], WEIGHT_MSG + "Fraction(-1, 2)"),
     ([1], [], "weight vector needs at least one entry"),
     # numpy scalars that are not Python floats are tested for finiteness too
@@ -137,7 +138,8 @@ class TestOneBoundaryCheck:
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("w", [[10 ** 400, 1], [Fraction(10 ** 400), 1],
-                                   [1, Fraction(1, 3), 2], [Fraction(10 ** 400, 7), 3]])
+                                   [1, Fraction(1, 3), 2], [Fraction(10 ** 400, 7), 3],
+                                   [3, np.int64(2)]])
     def test_exact_weights_of_any_size_pass(self, w):
         # math.isfinite would overflow on these; only float weights are
         # tested for finiteness
@@ -150,6 +152,25 @@ class TestOneBoundaryCheck:
         assert evaluate(power(0.5), x, w) == power_mean(0.5, x, w)
         if w[0] == 10 ** 400:
             assert evaluate(power(0.5), x, w) == 1.0
+
+    @pytest.mark.parametrize("w, floats, power_half, cube, breakpoints", [
+        # a bool is no exact weight: the float route, as for [1.0, 2.0]
+        ([True, 2], [1.0, 2.0], 1.6285393610547085, 1.782827080413121, (0.0, 1.0, 3.0)),
+        ([2, 0.5], [2.0, 0.5], 1.172548339959391, 1.338865900164339, (0.0, 2.0, 2.5)),
+        # a numpy integer is exact: integer masses, as for [3, 2]
+        ([3, np.int64(2)], [3, 2], 1.3588225099390854, 1.560490750707885, (0, 3, 5)),
+    ])
+    def test_vectors_that_are_not_all_ints_keep_their_routes(self, w, floats, power_half,
+                                                            cube, breakpoints):
+        # an int first entry does not make a vector all-int: each of these
+        # is accepted with the values it had before that branch existed
+        x = [1, 2]
+        assert evaluate(power(0.5), x, w) == power_mean(0.5, x, w) == power_half
+        assert evaluate(power(0.5), x, floats) == power_half
+        assert evaluate(quasiarithmetic(CUBE), x, w) == quasiarithmetic_mean(CUBE, x, w) == cube
+        got = step_profile(x, w).breakpoints
+        assert got == breakpoints
+        assert [type(b) for b in got] == [type(b) for b in breakpoints]
 
     def test_numpy_arrays_pass_as_their_floats(self):
         x = np.array([0.5, 2.0, 3.25])
